@@ -32,9 +32,6 @@ Commands
 ``run``, ``experiment`` and ``cluster`` accept ``--profile [N]`` (or the
 ``REPRO_PROFILE`` environment variable) to wrap the command in
 :mod:`cProfile` and print the top N functions by cumulative time.
-``cluster`` additionally exposes the fused IPC protocol knobs
-(``--spool-epochs``, ``--no-fused``, ``--no-view-deltas``,
-``--no-adaptive``) — execution strategies that never change results.
 
 Every command also takes the telemetry knobs ``--trace-out DIR``,
 ``--trace-events N`` and ``--trace-sample R`` (environment:
@@ -157,23 +154,6 @@ def build_parser() -> argparse.ArgumentParser:
     cluster.add_argument(
         "--check-invariants", action="store_true",
         help="verify page conservation after every migration (debug)",
-    )
-    cluster.add_argument(
-        "--spool-epochs", type=int, default=None, metavar="K",
-        help="drain worker record spools every K epochs "
-        "(default: $REPRO_SPOOL_EPOCHS or 8)",
-    )
-    cluster.add_argument(
-        "--no-fused", dest="fused", action="store_false",
-        help="per-event blocking IPC instead of fused epoch batches (debug)",
-    )
-    cluster.add_argument(
-        "--no-view-deltas", dest="view_deltas", action="store_false",
-        help="ship full host views instead of bitmask deltas (debug)",
-    )
-    cluster.add_argument(
-        "--no-adaptive", dest="adaptive", action="store_false",
-        help="keep the worker pool even when serial would be faster",
     )
     _add_exec_args(cluster)
 
@@ -443,10 +423,6 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         placement=args.placement,
         fragment_host=args.fragment_host,
         migration=MigrationConfig(check_invariants=args.check_invariants),
-        fused_epochs=args.fused,
-        view_deltas=args.view_deltas,
-        spool_epochs=args.spool_epochs,
-        adaptive_parallel=args.adaptive,
     )
     cache = (
         ResultCache(args.cache_dir, expected=FleetResult)

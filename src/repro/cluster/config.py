@@ -135,24 +135,6 @@ class ClusterConfig:
     #: evaluation, incremental consolidation scores) — bit-identical to
     #: the per-frame reference paths; same flag as SimulationConfig.
     fast_kernels: bool = True
-    #: Fleet IPC fast path (all bit-identical execution-strategy knobs,
-    #: excluded from the result-cache key like the two flags above).
-    #: ``fused_epochs`` collapses each epoch's churn ops and the step
-    #: into one fused round-trip per worker; False keeps the reference
-    #: one-blocking-call-per-event protocol selectable forever.
-    fused_epochs: bool = True
-    #: Ship ``HostView``s as changed-fields deltas (fused mode only).
-    view_deltas: bool = True
-    #: Drain worker-side epoch-record spools every N epochs (fused mode
-    #: only); None resolves ``REPRO_SPOOL_EPOCHS`` or the default (8).
-    spool_epochs: int | None = None
-    #: Drop to in-process hosts when parallelism cannot win (single-core
-    #: sandboxes up front, measured first-epoch IPC-vs-compute after);
-    #: ``REPRO_FLEET_ADAPTIVE=0/1`` overrides.
-    adaptive_parallel: bool = True
-    #: zlib-compress large pool messages (migrating VM graphs, record
-    #: spools); small messages stay raw.
-    wire_compression: bool = True
     #: Nested knob groups.
     churn: ChurnConfig = field(default_factory=ChurnConfig)
     migration: MigrationConfig = field(default_factory=MigrationConfig)

@@ -13,26 +13,24 @@ One :class:`ClusterSimulation` drives N hosts epoch by epoch:
 
 Hosts live on a :class:`~repro.exec.actors.ActorPool`: each host is owned
 by one worker for the whole run, so host graphs never travel (except a
-migrating tenant, which is the point of a migration).  On the **fused
-protocol** (``ClusterConfig.fused_epochs``, the default) per-epoch
-traffic collapses to one round-trip per worker: the controller decides
-the epoch's churn events up front — patching its own
-:class:`~repro.cluster.host.HostView` copies with the exact, locally
-computable effect of each arrival — and ships the event ops together
-with the step command as a single batch per worker.  Views come back as
-changed-field deltas, and per-epoch records stay spooled inside the
-workers, drained as one compressed blob every ``spool_epochs``.  The
-reference protocol (``fused_epochs=False``) keeps the original
-blocking-call-per-event shape selectable forever, and the two are
-bit-identical — as are serial (``workers=1``, hosts in-process) and
-parallel runs of the same seed, because the controller makes every
-decision from the views alone.
+migrating tenant, which is the point of a migration).  Per-epoch traffic
+is one round-trip per worker: the controller decides the epoch's churn
+events up front — patching its own :class:`~repro.cluster.host.HostView`
+copies with the exact, locally computable effect of each arrival — and
+ships the event ops together with the step command as a single batch per
+worker.  Views come back as changed-field deltas, per-epoch records stay
+spooled inside the workers and drain as one compressed blob every
+:data:`SPOOL_EPOCHS`, and a migrating tenant moves over a direct
+worker-to-worker pipe.  As in OpenStack Neat's split, hosts run their
+daemons and pressure ladders locally while the controller sees compact
+views and moves only migration candidates.
 
-When parallelism cannot win, the engine does not pay for it: fleets
-smaller than ``REPRO_MIN_PARALLEL`` hosts never spawn a pool (mirroring
-``run_cells``), single-core sandboxes drop to in-process hosts up front,
-and an adaptive first-epoch measurement retracts the pool when IPC
-overhead exceeds what parallel stepping can save.
+``workers=1`` runs the same protocol on an in-process pool, so serial and
+parallel runs of the same seed are bit-identical: the controller makes
+every decision from the views alone.  Fleets smaller than
+``REPRO_MIN_PARALLEL`` hosts never spawn a pool (mirroring
+``run_cells``), and neither do single-core machines, where workers would
+timeshare one core and pay the IPC on top.
 
 ``run_cluster`` wraps a run with the content-keyed result cache, exactly
 like ``run_cells`` does for single-host experiment cells.
@@ -43,7 +41,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import time
 from dataclasses import asdict, replace
 
 from repro import obs
@@ -63,11 +60,11 @@ from repro.exec.actors import ActorPool
 from repro.exec.cache import ResultCache, code_version
 from repro.exec.pool import min_parallel_threshold, resolve_workers
 from repro.mem.layout import MIB, PAGE_SIZE
-from repro.workloads import Workload, make_workload
+from repro.workloads import make_workload
 
 __all__ = [
-    "DEFAULT_SPOOL_EPOCHS",
     "MIN_PARALLEL_HOSTS",
+    "SPOOL_EPOCHS",
     "ClusterSimulation",
     "fleet_key",
     "run_cluster",
@@ -80,66 +77,17 @@ __all__ = [
 MIN_PARALLEL_HOSTS = 4
 
 #: Epochs a worker spools records for between bulk drains.  Sized so one
-#: drain (tens of records per host, compressed) dwarfs pipe latency
-#: while keeping worker memory bounded; ``REPRO_SPOOL_EPOCHS`` or
-#: ``ClusterConfig.spool_epochs`` override.
-DEFAULT_SPOOL_EPOCHS = 8
-
-
-def _env_int(name: str, default: int) -> int:
-    try:
-        return int(os.environ.get(name, "").strip())
-    except ValueError:
-        return default
-
-
-def _resolve_spool(config: ClusterConfig) -> int:
-    if config.spool_epochs is not None and config.spool_epochs > 0:
-        return config.spool_epochs
-    return max(1, _env_int("REPRO_SPOOL_EPOCHS", DEFAULT_SPOOL_EPOCHS))
-
-
-def _resolve_adaptive(config: ClusterConfig) -> bool:
-    raw = os.environ.get("REPRO_FLEET_ADAPTIVE", "").strip()
-    if raw:
-        return raw != "0"
-    return config.adaptive_parallel
+#: drain (tens of records per host, compressed) dwarfs pipe latency while
+#: keeping worker memory bounded.
+SPOOL_EPOCHS = 8
 
 
 # ----------------------------------------------------------------------
 # Actor functions: run on the worker that owns the host.  Module-level so
-# the pool can pickle them by reference.  The ``_act_*`` trio returning
-# fresh views is the reference protocol; the ``_queue_*`` variants return
-# nothing (the controller already knows, or will learn from the fused
-# step's view delta) so queued churn ops add no reply traffic.
+# the pool can pickle them by reference.  The ``_queue_*`` churn ops
+# return nothing (the controller already knows, or will learn from the
+# step's view delta), so queued ops add no reply traffic.
 # ----------------------------------------------------------------------
-
-
-def _act_step(
-    host: Host, epoch: int
-) -> tuple[list[HostEpochRecord], list[TenantEpochRecord], HostView]:
-    host.step_epoch(epoch)
-    host_records, tenant_records = host.drain_records()
-    return host_records, tenant_records, host.publish_view()
-
-
-def _act_add_tenant(
-    host: Host, ordinal: int, guest_mib: int, workload: Workload, epoch: int
-) -> HostView:
-    host.add_tenant(ordinal, guest_mib, workload, epoch)
-    return host.publish_view()
-
-
-def _act_destroy_tenant(host: Host, ordinal: int) -> HostView:
-    host.destroy_tenant(ordinal)
-    return host.publish_view()
-
-
-def _act_resize_tenant(
-    host: Host, ordinal: int, grow: bool, fraction: float
-) -> HostView:
-    host.resize_tenant(ordinal, grow, fraction)
-    return host.publish_view()
 
 
 def _queue_add_tenant(
@@ -161,18 +109,16 @@ def _queue_resize_tenant(
     host.resize_tenant(ordinal, grow, fraction)
 
 
-def _act_refresh_view(host: Host, deltas: bool) -> tuple:
-    return host.publish_view_payload(deltas)
+def _act_refresh_view(host: Host) -> tuple:
+    return host.publish_view_payload()
 
 
-def _act_step_fused(host: Host, epoch: int, deltas: bool) -> tuple:
+def _act_step(host: Host, epoch: int) -> tuple:
     host.step_epoch(epoch)
-    return host.publish_view_payload(deltas)
+    return host.publish_view_payload()
 
 
-def _act_migrate_out_fused(
-    host: Host, ordinal: int, migration
-) -> tuple[tuple, tuple]:
+def _act_migrate_out(host: Host, ordinal: int, migration) -> tuple[tuple, tuple]:
     """Source half for :meth:`ActorPool.transfer`: the tenant payload
     goes straight to the destination worker; the controller gets only
     the resident-set size, the copy schedule and the view."""
@@ -181,7 +127,7 @@ def _act_migrate_out_fused(
     return (tenant, state, runs), (resident, schedule, view)
 
 
-def _act_migrate_in_fused(host: Host, payload: tuple, migration) -> HostView:
+def _act_migrate_in(host: Host, payload: tuple, migration) -> HostView:
     tenant, state, runs = payload
     return migrate_in(host, tenant, state, runs, migration)
 
@@ -194,9 +140,11 @@ def _drain_worker_spools(states: dict[int, Host], remote: bool) -> tuple:
 
     The worker's telemetry snapshot piggybacks on the same reply
     (``(records, obs_blob)``), so cross-process telemetry costs zero
-    extra round-trips.  In-process pools return ``None`` for the blob:
-    they already share the controller's registry, and snapshotting it
-    here would drain the controller's own telemetry into itself.
+    extra round-trips; the final epoch always drains, so nothing a
+    worker emitted is left behind.  In-process pools return ``None`` for
+    the blob: they already share the controller's registry, and
+    snapshotting it here would drain the controller's own telemetry into
+    itself.
     """
     host_records = []
     tenant_records = []
@@ -216,13 +164,6 @@ def _reset_worker_obs(states: dict[int, Host]) -> None:
     obs.clear_context()
 
 
-def _drain_worker_obs(states: dict[int, Host]) -> bytes | None:
-    """Final-sweep epilogue: detach whatever telemetry the worker still
-    holds (reference protocol, or a retraction before the first fused
-    spool drain)."""
-    return obs.snapshot_blob()
-
-
 class ClusterSimulation:
     """One fleet simulation: N hosts, a churn trace, a placement policy."""
 
@@ -239,7 +180,7 @@ class ClusterSimulation:
         #: The controller's picture of each host; all placement and
         #: consolidation decisions read this.  Updated by every view the
         #: workers publish, plus the controller's own exact patches for
-        #: queued arrivals on the fused protocol.
+        #: queued arrivals.
         self._views: list[HostView] = [host.summary() for host in self.hosts]
         #: ordinal -> index of the host currently running the VM.
         self._vm_host: dict[int, int] = {}
@@ -262,13 +203,12 @@ class ClusterSimulation:
         #: Spooled record chunks awaiting an ordered merge, as
         #: ``(host_records, tenant_records)`` per drained host.
         self._spooled: list[tuple] = []
-        self._spool_every = _resolve_spool(self.config)
         #: Wire traffic per epoch (controller<->workers, both ways); all
         #: zeros for in-process runs.  Diagnostics, deliberately kept off
         #: the (serial==parallel comparable) FleetResult.
         self.ipc_bytes_epochs: list[int] = []
-        #: Bulk bytes moved over direct worker-to-worker pipes (fused
-        #: migrations) — the data plane the controller never serialises.
+        #: Bulk bytes moved over direct worker-to-worker pipes
+        #: (migrations) — the data plane the controller never serialises.
         self.ipc_peer_bytes = 0
         self.result = FleetResult(
             system=self.config.system,
@@ -292,49 +232,23 @@ class ClusterSimulation:
     def run(self, workers: int | None = None) -> FleetResult:
         """Run all epochs; *workers* > 1 steps hosts on a process pool."""
         config = self.config
-        adaptive = _resolve_adaptive(config)
-        pool = ActorPool(
-            self._effective_workers(workers, adaptive),
-            compress_wire=config.wire_compression,
-        )
+        pool = ActorPool(self._effective_workers(workers))
         pool.scatter(self.hosts)
         self._obs_reset_workers(pool)
-        self._spool_every = _resolve_spool(config)
         self.ipc_bytes_epochs = []
         telemetry, recorder, installed_monitor = self._obs_attach_health(pool)
         try:
             for epoch in range(config.epochs):
-                pool.drain_window.clear()
                 bytes_before = pool.bytes_sent + pool.bytes_received
-                started = time.perf_counter()
                 obs.set_context(host=None, epoch=epoch)
                 with obs.span("fleet.epoch"):
-                    if config.fused_epochs:
-                        self._epoch_fused(pool, epoch)
-                    else:
-                        self._epoch_reference(pool, epoch)
-                wall = time.perf_counter() - started
+                    self._epoch(pool, epoch)
                 self.ipc_bytes_epochs.append(
                     pool.bytes_sent + pool.bytes_received - bytes_before
                 )
-                if (
-                    epoch == 0
-                    and adaptive
-                    and not pool.is_local
-                    and self._parallel_cannot_win(pool, wall)
-                ):
-                    # Retraction discards the worker processes; pull
-                    # their telemetry home first or epoch 0 goes dark.
-                    self._obs_sweep_workers(pool)
-                    pool.retract()
+            self.ipc_peer_bytes = pool.peer_bytes
             # Bring the final host states home so callers can inspect
             # them the same way after serial and parallel runs.
-            self.ipc_peer_bytes = pool.peer_bytes
-            if not config.fused_epochs:
-                # The fused protocol's last spool drain already carried
-                # the workers' final snapshots; the reference protocol
-                # never spools, so sweep once before the states come home.
-                self._obs_sweep_workers(pool)
             self.hosts = pool.gather()
         except BaseException as error:
             if recorder is not None:
@@ -383,15 +297,7 @@ class ClusterSimulation:
             pool.submit([], each_worker=(_reset_worker_obs, ()))
             pool.drain()
 
-    def _obs_sweep_workers(self, pool: ActorPool) -> None:
-        """Merge every worker's outstanding telemetry snapshot."""
-        if obs.enabled() and not pool.is_local:
-            pool.submit([], each_worker=(_drain_worker_obs, ()))
-            pool.drain()
-            for blob in pool.extras:
-                obs.merge_blob(blob)
-
-    def _effective_workers(self, workers: int | None, adaptive: bool) -> int:
+    def _effective_workers(self, workers: int | None) -> int:
         workers = resolve_workers(workers)
         if workers <= 1:
             return workers
@@ -400,37 +306,23 @@ class ClusterSimulation:
         # analogue of run_cells' MIN_PARALLEL_CELLS gate).
         if len(self.hosts) < min_parallel_threshold(MIN_PARALLEL_HOSTS):
             return 1
-        # Nothing to overlap with: a single-core sandbox timeshares the
+        # Nothing to overlap with: a single-core machine timeshares the
         # workers and pays the IPC on top.
-        if adaptive and (os.cpu_count() or 1) < 2:
+        if (os.cpu_count() or 1) < 2:
             return 1
         return workers
 
-    def _parallel_cannot_win(self, pool: ActorPool, wall: float) -> bool:
-        """First-epoch measurement: does IPC overhead eat the overlap?
-
-        Comparing the epoch's wall-clock against the workers' summed
-        compute answers whether this (machine, fleet, protocol) triple
-        can beat the in-process loop: parallel wins only while the
-        overhead beyond the critical path stays below the compute it
-        takes off the controller's thread.
-        """
-        ideal = sum(stats.ideal_parallel for stats in pool.drain_window)
-        serial = sum(stats.serial_estimate for stats in pool.drain_window)
-        return wall - ideal >= serial - ideal
-
     # ------------------------------------------------------------------
-    # Fused protocol: one round-trip per worker per epoch
+    # One epoch: one round-trip per worker
     # ------------------------------------------------------------------
 
-    def _epoch_fused(self, pool: ActorPool, epoch: int) -> None:
+    def _epoch(self, pool: ActorPool, epoch: int) -> None:
         consolidation = self.config.consolidation
         consolidating = (
             consolidation.every > 0
             and epoch > 0
             and epoch % consolidation.every == 0
         )
-        deltas = self.config.view_deltas
         ops: list[tuple] = []
         arrivals: list[TraceEvent] = []
         # Trace order within an epoch is departures, resizes, then
@@ -472,27 +364,25 @@ class ClusterSimulation:
             # placement and consolidation are about to read must be
             # refreshed — one round-trip for all queued ops plus one
             # view payload per touched host.
-            self._flush(pool, ops, deltas)
+            self._flush(pool, ops)
             ops = []
         for event in arrivals:
             self._queue_arrival(event, epoch, ops)
         if consolidating:
             if ops:
-                # Arrivals must land before migrations may move them
-                # (and the reference protocol consolidates after all
-                # events); their view effect is already patched in, so
-                # no refresh is needed.
+                # Arrivals must land before migrations may move them;
+                # their view effect is already patched in, so no refresh
+                # is needed.
                 pool.submit(ops)
                 pool.drain()
                 ops = []
             self._consolidate(pool, epoch)
         drain_spool = (
-            (epoch + 1) % self._spool_every == 0
+            (epoch + 1) % SPOOL_EPOCHS == 0
             or epoch == self.config.epochs - 1
         )
-        step_args = (epoch, deltas)
         for index in range(len(self.hosts)):
-            ops.append((index, _act_step_fused, step_args))
+            ops.append((index, _act_step, (epoch,)))
         pool.submit(
             ops,
             each_worker=(
@@ -510,12 +400,10 @@ class ClusterSimulation:
                 obs.merge_blob(obs_blob)
             self._merge_spooled()
 
-    def _flush(self, pool: ActorPool, ops: list[tuple], deltas: bool) -> None:
+    def _flush(self, pool: ActorPool, ops: list[tuple]) -> None:
         """Run queued ops and refresh the views of every touched host."""
         touched = sorted({index for index, _, _ in ops})
-        pool.submit(
-            ops + [(index, _act_refresh_view, (deltas,)) for index in touched]
-        )
+        pool.submit(ops + [(index, _act_refresh_view, ()) for index in touched])
         for payload in pool.drain()[len(ops):]:
             self._ingest_view(payload)
 
@@ -557,11 +445,11 @@ class ClusterSimulation:
         self._guest_pages[event.ordinal] = guest_pages
         self._committed[index] += guest_pages
         # Patch the controller's view with the exact effect of the
-        # queued add, so later decisions in this epoch see what a
-        # blocking round-trip would have returned: adding a tenant only
-        # shrinks committed capacity and registers an (empty) resident
-        # set — it allocates nothing — which the fused-vs-reference
-        # equivalence test pins down.
+        # queued add, so later decisions in this epoch see what the host
+        # itself would publish: adding a tenant only shrinks committed
+        # capacity and registers an (empty) resident set — it allocates
+        # nothing.  The engine tests pin every patched view against
+        # ``Host.summary()``.
         view = self._views[index]
         self._set_view(replace(
             view,
@@ -587,12 +475,12 @@ class ClusterSimulation:
         self._views[index] = view
 
     def _merge_spooled(self) -> None:
-        """Append drained records in the reference protocol's order.
+        """Append drained records in epoch-major, host-minor order.
 
         Hosts drain in index order and keep their records in generation
-        order, so a stable sort by ``(epoch, host)`` reproduces exactly
-        the order the per-epoch protocol appends in: epoch-major,
-        host-minor, generation order within.
+        order, so a stable sort by ``(epoch, host)`` yields the same
+        order whatever the spool period and however the hosts are spread
+        across workers: epoch-major, host-minor, generation order within.
         """
         if not self._spooled:
             return
@@ -606,99 +494,6 @@ class ClusterSimulation:
         tenant_records.sort(key=lambda record: (record.epoch, record.host))
         self.result.host_epochs.extend(host_records)
         self.result.tenant_epochs.extend(tenant_records)
-
-    # ------------------------------------------------------------------
-    # Reference protocol: one blocking call per event, records and full
-    # views every epoch.  Kept selectable forever as the semantic anchor
-    # the fused path must stay bit-identical to.
-    # ------------------------------------------------------------------
-
-    def _epoch_reference(self, pool: ActorPool, epoch: int) -> None:
-        consolidation = self.config.consolidation
-        self._apply_events(pool, epoch)
-        if (
-            consolidation.every > 0
-            and epoch > 0
-            and epoch % consolidation.every == 0
-        ):
-            self._consolidate(pool, epoch)
-        outputs = pool.map(_act_step, [(epoch,)] * len(self.hosts))
-        for host_records, tenant_records, view in outputs:
-            self.result.host_epochs.extend(host_records)
-            self.result.tenant_epochs.extend(tenant_records)
-            self._set_view(view)
-
-    # ------------------------------------------------------------------
-    # Churn events (reference protocol)
-    # ------------------------------------------------------------------
-
-    def _apply_events(self, pool: ActorPool, epoch: int) -> None:
-        for event in self._events.get(epoch, ()):
-            if event.kind == "arrive":
-                self._arrive(pool, event, epoch)
-            elif event.ordinal in self._vm_host:
-                index = self._vm_host[event.ordinal]
-                if event.kind == "depart":
-                    view = pool.apply(_act_destroy_tenant, index, event.ordinal)
-                    self._committed[index] -= self._guest_pages.pop(
-                        event.ordinal
-                    )
-                    del self._vm_host[event.ordinal]
-                    obs.emit_at(
-                        "fleet.depart",
-                        None,
-                        epoch,
-                        ordinal=event.ordinal,
-                        on=index,
-                    )
-                else:
-                    view = pool.apply(
-                        _act_resize_tenant,
-                        index,
-                        event.ordinal,
-                        event.grow,
-                        event.delta_fraction,
-                    )
-                    obs.emit_at(
-                        "fleet.resize",
-                        None,
-                        epoch,
-                        ordinal=event.ordinal,
-                        on=index,
-                        grow=event.grow,
-                    )
-                self._set_view(view)
-
-    def _arrive(self, pool: ActorPool, event: TraceEvent, epoch: int) -> None:
-        guest_pages = event.guest_mib * MIB // PAGE_SIZE
-        needed = int(guest_pages * self.config.placement_headroom)
-        index = self.placement.select(self._views, needed)
-        if index is None:
-            self.result.placement_failures += 1
-            obs.emit_at(
-                "fleet.place_fail",
-                None,
-                epoch,
-                ordinal=event.ordinal,
-                needed=needed,
-            )
-            return
-        obs.emit_at(
-            "fleet.place",
-            None,
-            epoch,
-            ordinal=event.ordinal,
-            workload=event.workload,
-            guest_mib=event.guest_mib,
-            on=index,
-        )
-        workload = make_workload(event.workload)
-        self._set_view(pool.apply(
-            _act_add_tenant, index, event.ordinal, event.guest_mib, workload, epoch
-        ))
-        self._vm_host[event.ordinal] = index
-        self._guest_pages[event.ordinal] = guest_pages
-        self._committed[index] += guest_pages
 
     # ------------------------------------------------------------------
     # Consolidation (OpenStack-Neat-style: overload shedding, then
@@ -785,47 +580,28 @@ class ClusterSimulation:
         )
         if destination is None:
             return False
+        # Data-plane migration: the tenant graph moves worker-to-worker;
+        # the controller sees two commands and two compact replies.
         migration = self.config.migration
-        if self.config.fused_epochs:
-            # Data-plane migration: the tenant graph moves worker-to-
-            # worker; the controller sees two commands and two compact
-            # replies.
-            (resident, schedule, src_view), dst_view = pool.transfer(
-                source,
-                destination,
-                _act_migrate_out_fused,
-                (ordinal, migration),
-                _act_migrate_in_fused,
-                (migration,),
-            )
-            self._set_view(src_view)
-            self._set_view(dst_view)
-            record = build_record(
-                epoch=epoch,
-                ordinal=ordinal,
-                source=source,
-                destination=destination,
-                reason=reason,
-                schedule=schedule,
-                resident_pages=resident,
-            )
-        else:
-            tenant, state, runs, schedule, src_view = pool.apply(
-                migrate_out, source, ordinal, migration
-            )
-            self._set_view(src_view)
-            self._set_view(pool.apply(
-                migrate_in, destination, tenant, state, runs, migration
-            ))
-            record = build_record(
-                epoch=epoch,
-                ordinal=ordinal,
-                source=source,
-                destination=destination,
-                reason=reason,
-                schedule=schedule,
-                runs=runs,
-            )
+        (resident, schedule, src_view), dst_view = pool.transfer(
+            source,
+            destination,
+            _act_migrate_out,
+            (ordinal, migration),
+            _act_migrate_in,
+            (migration,),
+        )
+        self._set_view(src_view)
+        self._set_view(dst_view)
+        record = build_record(
+            epoch=epoch,
+            ordinal=ordinal,
+            source=source,
+            destination=destination,
+            reason=reason,
+            schedule=schedule,
+            resident_pages=resident,
+        )
         self.result.migrations.append(record)
         obs.emit_at(
             "fleet.migrate",
@@ -852,16 +628,11 @@ class ClusterSimulation:
 
 #: ClusterConfig fields that select bit-identical execution strategies;
 #: excluded from the content key so every combination shares cache
-#: entries (enforced by the protocol-equivalence tests).
+#: entries (enforced by the fast-path equivalence tests).
 EXECUTION_STRATEGY_FIELDS = (
     "batch_faults",
     "incremental_index",
     "fast_kernels",
-    "fused_epochs",
-    "view_deltas",
-    "spool_epochs",
-    "adaptive_parallel",
-    "wire_compression",
 )
 
 
@@ -870,10 +641,9 @@ def fleet_key(config: ClusterConfig) -> str:
 
     Like :func:`repro.exec.cache.cell_key`, the bit-identical fast-path
     knobs (:data:`EXECUTION_STRATEGY_FIELDS` — fault batching, the
-    incremental index, and the fused IPC protocol's fusion/delta/spool/
-    adaptive switches) are excluded so all settings share cache entries,
-    and the code version is folded in so editing the simulator
-    invalidates stale results.
+    incremental index and the batch kernels) are excluded so all
+    settings share cache entries, and the code version is folded in so
+    editing the simulator invalidates stale results.
     """
     payload = asdict(config)
     for field_name in EXECUTION_STRATEGY_FIELDS:

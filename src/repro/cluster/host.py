@@ -21,11 +21,7 @@ from dataclasses import dataclass, field, fields, replace
 from typing import TYPE_CHECKING
 
 from repro import obs
-from repro.cluster.results import (
-    HostEpochRecord,
-    TenantEpochRecord,
-    encode_records,
-)
+from repro.cluster.results import HostEpochRecord, TenantEpochRecord
 from repro.core.runtime import GeminiRuntime
 from repro.hypervisor.balloon import BalloonDriver
 from repro.hypervisor.platform import Platform
@@ -255,13 +251,12 @@ class Host:
         self._last_misses = 0.0
         self._host_snapshot = self.platform.host.ledger.snapshot()
         # Records accumulate here (also while stepping inside a worker
-        # process) and are drained by the engine — every epoch on the
-        # reference protocol, every ``spool_epochs`` on the fused one.
+        # process) and are drained by the engine every ``SPOOL_EPOCHS``.
         self._tenant_records: list[TenantEpochRecord] = []
         self._host_records: list[HostEpochRecord] = []
         #: The last view shipped to the controller — the shared baseline
         #: view deltas are encoded against.  Lives on the host so it
-        #: travels with it (worker processes, adaptive retraction).
+        #: travels with it to and from worker processes.
         self._view_baseline: HostView | None = None
 
     # ------------------------------------------------------------------
@@ -345,10 +340,10 @@ class Host:
         self._view_baseline = view
         return view
 
-    def publish_view_payload(self, deltas: bool = True) -> tuple:
+    def publish_view_payload(self) -> tuple:
         """Encode the current view for the wire.
 
-        ``("full", view)`` on the first publish (or with *deltas* off),
+        ``("full", view)`` on the first publish,
         ``("d", index, mask, values)`` afterwards — only fields that
         changed since the last published view travel, addressed by a
         position bitmask rather than name strings, and the controller
@@ -356,7 +351,7 @@ class Host:
         """
         base = self._view_baseline
         view = self.publish_view()
-        if not deltas or base is None:
+        if base is None:
             return ("full", view)
         mask = 0
         values = []
@@ -371,11 +366,6 @@ class Host:
         host_records, self._host_records = self._host_records, []
         tenant_records, self._tenant_records = self._tenant_records, []
         return host_records, tenant_records
-
-    def drain_spool(self, compress: bool = True) -> tuple:
-        """Drain accumulated records as one wire blob (fused protocol)."""
-        host_records, tenant_records = self.drain_records()
-        return encode_records(host_records, tenant_records, compress=compress)
 
     # ------------------------------------------------------------------
     # Tenant lifecycle

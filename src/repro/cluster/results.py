@@ -33,13 +33,12 @@ __all__ = [
 # ----------------------------------------------------------------------
 #
 # Workers accumulate their hosts' epoch records locally and drain them in
-# bulk every K epochs (``spool_epochs``) — the controller never reads
+# bulk every K epochs (``SPOOL_EPOCHS``) — the controller never reads
 # records mid-run, so per-epoch record traffic is pure waste.  A drain is
-# one compressed blob per host: records compress extremely well (repeated
-# dataclass field names, near-identical numeric layouts), and one big
-# transfer amortises the pipe latency that dominated the per-epoch
-# protocol.  ``compress=False`` is the in-process path: no pipe, no
-# encode.
+# one compressed blob per worker: records compress extremely well
+# (repeated dataclass field names, near-identical numeric layouts), and
+# one big transfer amortises pipe latency over many epochs.
+# ``compress=False`` is the in-process path: no pipe, no encode.
 
 
 def encode_records(

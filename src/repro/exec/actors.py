@@ -17,8 +17,7 @@ The hot-path API is the asynchronous ``submit``/``drain`` pair: the
 caller stages one *batch* of ``(index, fn, args)`` operations — several
 ops may target the same state, and they execute in batch order — and the
 pool ships **one fused message per worker**, then decodes worker replies
-in arrival order while the stragglers are still computing.  ``apply``
-and ``map`` are thin wrappers over one submit/drain cycle.
+in arrival order while the stragglers are still computing.
 
 A batch may carry one *per-worker epilogue* (``each_worker``): a
 function every worker runs once over its whole state dict after the
@@ -42,12 +41,7 @@ crossing the pipes (``bytes_sent``/``bytes_received``) and callers can
 measure per-step IPC traffic.  Blobs above
 :data:`WIRE_COMPRESS_THRESHOLD` are zlib-compressed when that makes them
 smaller (a one-byte marker keeps small messages overhead-free); byte
-counters always report what actually crossed the pipe.  Each reply
-carries the worker's compute seconds for the batch; ``drain_window``
-collects per-drain :class:`DrainStats` so callers can compare IPC
-overhead against compute and call :meth:`ActorPool.retract` — pull every
-state back in-process and continue locally — when parallelism cannot
-win.
+counters always report what actually crossed the pipe.
 
 Serial fallback is built in: with ``workers <= 1``, or when the sandbox
 cannot fork, the pool keeps the states in-process and calls the
@@ -66,16 +60,14 @@ from __future__ import annotations
 
 import multiprocessing
 import pickle
-import time
 import traceback
 import zlib
-from dataclasses import dataclass
 from multiprocessing.connection import Connection, wait
 
 from repro.exec.pool import resolve_workers
 from repro.obs import current_context
 
-__all__ = ["ActorPool", "DrainStats", "WIRE_COMPRESS_THRESHOLD"]
+__all__ = ["ActorPool", "WIRE_COMPRESS_THRESHOLD"]
 
 #: Smallest pickle worth attempting wire compression on.  Steady-state
 #: command/reply blobs sit well below this and skip the zlib call; the
@@ -83,45 +75,18 @@ __all__ = ["ActorPool", "DrainStats", "WIRE_COMPRESS_THRESHOLD"]
 WIRE_COMPRESS_THRESHOLD = 512
 
 
-@dataclass(frozen=True)
-class DrainStats:
-    """Timing of one submit/drain cycle, for adaptive serial fallback."""
-
-    #: Wall-clock seconds from submit to the last reply decoded.
-    wall: float
-    #: Per-worker compute seconds for the batch (one entry per worker
-    #: that received ops; the single entry is the whole batch when the
-    #: pool runs locally).
-    computes: tuple[float, ...]
-
-    @property
-    def serial_estimate(self) -> float:
-        """What the batch would have cost computed in-process."""
-        return sum(self.computes)
-
-    @property
-    def ideal_parallel(self) -> float:
-        """The batch's critical path: the slowest worker's compute."""
-        return max(self.computes) if self.computes else 0.0
-
-    @property
-    def overhead(self) -> float:
-        """Wall-clock not explained by compute: IPC, pickling, waiting."""
-        return self.wall - self.ideal_parallel
-
-
 def _dumps(obj) -> bytes:
     return pickle.dumps(obj, pickle.HIGHEST_PROTOCOL)
 
 
-def _encode_wire(blob: bytes, compress: bool) -> bytes:
+def _encode_wire(blob: bytes) -> bytes:
     """Frame one pickle for the pipe: ``\\x00`` raw or ``\\x01`` zlib.
 
     Compression is attempted only above the threshold and kept only when
     it actually shrinks the blob, so small messages pay exactly one
     marker byte and incompressible ones never regress.
     """
-    if compress and len(blob) > WIRE_COMPRESS_THRESHOLD:
+    if len(blob) > WIRE_COMPRESS_THRESHOLD:
         packed = zlib.compress(blob, 1)
         if len(packed) < len(blob):
             return b"\x01" + packed
@@ -163,10 +128,7 @@ def _portable_exception(exc: BaseException) -> BaseException:
 
 
 def _worker_main(
-    conn: Connection,
-    states: dict[int, object],
-    compress: bool,
-    peers: dict[int, Connection],
+    conn: Connection, states: dict[int, object], peers: dict[int, Connection]
 ) -> None:
     """Child process loop: execute fused op batches against owned states."""
     while True:
@@ -178,7 +140,6 @@ def _worker_main(
             return
         kind = message[0]
         try:
-            started = time.perf_counter()
             if kind == "batch":
                 results = [
                     fn(states[index], *args) for index, fn, args in message[1]
@@ -187,7 +148,7 @@ def _worker_main(
                 if message[2] is not None:
                     each_fn, each_args = message[2]
                     extra = each_fn(states, *each_args)
-                payload = ("ok", results, extra, time.perf_counter() - started)
+                payload = ("ok", results, extra)
             elif kind == "xfer_out":
                 _, index, fn, args, dst = message
                 try:
@@ -195,15 +156,11 @@ def _worker_main(
                 except BaseException:
                     # Unblock the destination before reporting the
                     # failure, or it would wait on the peer pipe forever.
-                    peers[dst].send_bytes(
-                        _encode_wire(_dumps(("err",)), False)
-                    )
+                    peers[dst].send_bytes(_encode_wire(_dumps(("err",))))
                     raise
-                blob = _encode_wire(_dumps(("ok", peer_payload)), compress)
+                blob = _encode_wire(_dumps(("ok", peer_payload)))
                 peers[dst].send_bytes(blob)
-                payload = (
-                    "ok", [reply], len(blob), time.perf_counter() - started
-                )
+                payload = ("ok", [reply], len(blob))
             elif kind == "xfer_in":
                 _, index, fn, args, src = message
                 peer_msg = pickle.loads(
@@ -212,9 +169,7 @@ def _worker_main(
                 if peer_msg[0] == "err":
                     raise RuntimeError("transfer source failed")
                 reply = fn(states[index], peer_msg[1], *args)
-                payload = (
-                    "ok", [reply], None, time.perf_counter() - started
-                )
+                payload = ("ok", [reply], None)
             elif kind == "xfer_local":
                 # Source and destination share this worker: hand the
                 # payload object straight across, exactly like a local
@@ -224,35 +179,22 @@ def _worker_main(
                 )
                 peer_payload, out_reply = out_fn(states[src_index], *out_args)
                 in_reply = in_fn(states[dst_index], peer_payload, *in_args)
-                payload = (
-                    "ok",
-                    [out_reply, in_reply],
-                    None,
-                    time.perf_counter() - started,
-                )
+                payload = ("ok", [out_reply, in_reply], None)
             elif kind == "gather":
-                payload = (
-                    "ok",
-                    sorted(states.items()),
-                    None,
-                    time.perf_counter() - started,
-                )
+                payload = ("ok", sorted(states.items()), None)
             else:  # pragma: no cover - protocol misuse
                 payload = ("err", ValueError(f"unknown message {kind!r}"))
             blob = _dumps(payload)
         except BaseException as exc:  # noqa: BLE001 - forwarded to parent
             blob = _dumps(("err", _portable_exception(exc)))
-        conn.send_bytes(_encode_wire(blob, compress))
+        conn.send_bytes(_encode_wire(blob))
 
 
 class ActorPool:
     """Workers that own state objects across calls."""
 
-    def __init__(
-        self, workers: int | None = None, compress_wire: bool = True
-    ) -> None:
+    def __init__(self, workers: int | None = None) -> None:
         self.workers = resolve_workers(workers)
-        self.compress_wire = compress_wire
         self._local: list | None = None
         self._procs: list = []
         self._conns: list[Connection] = []
@@ -260,7 +202,6 @@ class ActorPool:
         #: Pending submit: (per-slot op batches, op count) in parallel
         #: mode, the raw op list in local mode.
         self._pending: tuple | None = None
-        self._pending_started = 0.0
         #: Exact bytes moved over the parent's pipes (0 while running
         #: locally) — the control plane.
         self.bytes_sent = 0
@@ -273,9 +214,6 @@ class ActorPool:
         #: worker-slot order (one entry for a local pool); empty when the
         #: batch carried no ``each_worker``.
         self.extras: list = []
-        #: Per-drain timing, appended by every drain; callers own the
-        #: window (clear it, read it) to implement adaptive fallback.
-        self.drain_window: list[DrainStats] = []
         #: Optional hook invoked with the captured worker exception just
         #: before a drain/transfer re-raises it — the flight recorder
         #: dumps its postmortem bundle here, while the pool (and the
@@ -326,12 +264,7 @@ class ActorPool:
                 parent_conn, child_conn = context.Pipe()
                 proc = context.Process(
                     target=_worker_main,
-                    args=(
-                        child_conn,
-                        owned[slot],
-                        self.compress_wire,
-                        peers[slot],
-                    ),
+                    args=(child_conn, owned[slot], peers[slot]),
                     daemon=True,
                 )
                 proc.start()
@@ -347,28 +280,10 @@ class ActorPool:
             self._owner.clear()
             self._local = list(states)
 
-    def retract(self) -> None:
-        """Adaptive fallback: pull every state back and go local.
-
-        After retract the pool behaves exactly like a ``workers=1`` pool
-        seeded with the workers' current states — callers keep running
-        the same code, mutations just happen in-process.  Results are
-        unaffected: where a deterministic function runs does not change
-        what it returns.
-        """
-        if self._local is not None:
-            return
-        if self._pending is not None:
-            raise RuntimeError("retract with a drain pending")
-        states = self.gather()
-        self.close()
-        self._owner.clear()
-        self._local = states
-
     def close(self) -> None:
         for conn in self._conns:
             try:
-                conn.send_bytes(_encode_wire(_dumps(None), False))
+                conn.send_bytes(_encode_wire(_dumps(None)))
                 conn.close()
             except OSError:
                 pass
@@ -390,7 +305,7 @@ class ActorPool:
     # ------------------------------------------------------------------
 
     def _send(self, conn: Connection, message) -> None:
-        data = _encode_wire(_dumps(message), self.compress_wire)
+        data = _encode_wire(_dumps(message))
         self.bytes_sent += len(data)
         conn.send_bytes(data)
 
@@ -400,7 +315,7 @@ class ActorPool:
         payload = pickle.loads(_decode_wire(data))
         if payload[0] == "err":
             raise payload[1]
-        return payload[1], payload[2], payload[3]
+        return payload[1], payload[2]
 
     # ------------------------------------------------------------------
     # Calls
@@ -423,7 +338,6 @@ class ActorPool:
         """
         if self._pending is not None:
             raise RuntimeError("submit while a previous batch is undrained")
-        self._pending_started = time.perf_counter()
         if self._local is not None:
             self._pending = ("local", list(ops), each_worker)
             return
@@ -455,7 +369,6 @@ class ActorPool:
         self.extras = []
         if pending[0] == "local":
             _, ops, each_worker = pending
-            started = time.perf_counter()
             results = [
                 fn(self._local[index], *args) for index, fn, args in ops
             ]
@@ -463,57 +376,32 @@ class ActorPool:
                 each_fn, each_args = each_worker
                 states = dict(enumerate(self._local))
                 self.extras = [each_fn(states, *each_args)]
-            compute = time.perf_counter() - started
-            self.drain_window.append(
-                DrainStats(wall=compute, computes=(compute,))
-            )
             return results
         _, positions, count, sent, has_epilogue = pending
         results: list = [None] * count
         extras: dict[int, object] = {}
-        computes: list[float] = []
         waiting = {self._conns[slot]: slot for slot in sent}
         failure: BaseException | None = None
         while waiting:
             for conn in wait(list(waiting)):
                 slot = waiting.pop(conn)
                 try:
-                    payload, extra, seconds = self._recv(conn)
+                    payload, extra = self._recv(conn)
                 except BaseException as exc:  # noqa: BLE001 - keep draining
                     # Drain the remaining workers before raising, so the
                     # pipes stay aligned for the caller's next batch.
                     failure = failure or exc
                     continue
-                computes.append(seconds)
                 extras[slot] = extra
                 for position, result in zip(positions[slot], payload):
                     results[position] = result
         if has_epilogue:
             self.extras = [extras[slot] for slot in sorted(extras)]
-        self.drain_window.append(
-            DrainStats(
-                wall=time.perf_counter() - self._pending_started,
-                computes=tuple(computes),
-            )
-        )
         if failure is not None:
             if self.on_failure is not None:
                 self.on_failure(failure)
             raise failure
         return results
-
-    def apply(self, fn, index: int, *args):
-        """Run ``fn(state[index], *args)`` on the owning worker."""
-        self.submit([(index, fn, args)])
-        return self.drain()[0]
-
-    def map(self, fn, args_by_index: list[tuple]) -> list:
-        """Run ``fn(state[i], *args_by_index[i])`` for every state, in
-        parallel across workers; returns results in state order."""
-        self.submit(
-            [(index, fn, args) for index, args in enumerate(args_by_index)]
-        )
-        return self.drain()
 
     def transfer(
         self,
@@ -536,14 +424,9 @@ class ActorPool:
         """
         if self._pending is not None:
             raise RuntimeError("transfer while a batch is undrained")
-        started = time.perf_counter()
         if self._local is not None:
             payload, out_reply = out_fn(self._local[source], *out_args)
             in_reply = in_fn(self._local[dest], payload, *in_args)
-            compute = time.perf_counter() - started
-            self.drain_window.append(
-                DrainStats(wall=compute, computes=(compute,))
-            )
             return out_reply, in_reply
         src_slot = self._owner[source]
         dst_slot = self._owner[dest]
@@ -552,12 +435,7 @@ class ActorPool:
                 self._conns[src_slot],
                 ("xfer_local", source, out_fn, out_args, dest, in_fn, in_args),
             )
-            replies, _, seconds = self._recv(self._conns[src_slot])
-            self.drain_window.append(
-                DrainStats(
-                    wall=time.perf_counter() - started, computes=(seconds,)
-                )
-            )
+            replies, _ = self._recv(self._conns[src_slot])
             return replies[0], replies[1]
         self._send(
             self._conns[src_slot], ("xfer_out", source, out_fn, out_args, dst_slot)
@@ -567,25 +445,18 @@ class ActorPool:
         )
         roles = {self._conns[src_slot]: "out", self._conns[dst_slot]: "in"}
         replies: dict[str, object] = {}
-        computes: list[float] = []
         failure: BaseException | None = None
         while roles:
             for conn in wait(list(roles)):
                 role = roles.pop(conn)
                 try:
-                    payload, extra, seconds = self._recv(conn)
+                    payload, extra = self._recv(conn)
                 except BaseException as exc:  # noqa: BLE001 - keep draining
                     failure = failure or exc
                     continue
-                computes.append(seconds)
                 if role == "out":
                     self.peer_bytes += extra
                 replies[role] = payload[0]
-        self.drain_window.append(
-            DrainStats(
-                wall=time.perf_counter() - started, computes=tuple(computes)
-            )
-        )
         if failure is not None:
             if self.on_failure is not None:
                 self.on_failure(failure)
@@ -600,6 +471,6 @@ class ActorPool:
         for conn in self._conns:
             self._send(conn, ("gather",))
         for conn in self._conns:
-            items, _, _ = self._recv(conn)
+            items, _ = self._recv(conn)
             collected.update(dict(items))
         return [collected[index] for index in sorted(collected)]

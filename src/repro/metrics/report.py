@@ -182,7 +182,7 @@ def format_bench_fleet(bench: dict) -> str:
         f"{fleet.get('epochs', '?')} epochs** "
         f"({fleet.get('workers', '?')} workers, "
         f"{fleet.get('cores', '?')} cores, "
-        f"adaptive mode: {fleet.get('parallel_mode', 'unknown')})",
+        f"mode: {fleet.get('parallel_mode', 'unknown')})",
         "",
         "| metric | serial | parallel |",
         "|---|---|---|",
@@ -192,9 +192,7 @@ def format_bench_fleet(bench: dict) -> str:
         "",
         "| controller IPC | bytes/epoch |",
         "|---|---|",
-        f"| legacy per-event | {fleet.get('ipc_bytes_per_epoch_legacy', 0):,.0f} |",
         f"| fused batches | {fleet.get('ipc_bytes_per_epoch_fused', 0):,.0f} |",
-        f"| **reduction** | **{fleet.get('ipc_reduction_factor', 0.0):,.1f}x** |",
         f"| peer-pipe payloads (total) "
         f"| {fleet.get('ipc_peer_bytes_fused', 0):,} |",
     ]

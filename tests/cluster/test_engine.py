@@ -12,6 +12,7 @@ from repro.cluster import (
     fleet_key,
     run_cluster,
 )
+from repro.cluster import engine
 from repro.cluster.config import ConsolidationConfig, MigrationConfig
 from repro.exec import ResultCache
 
@@ -55,51 +56,87 @@ def test_zero_hosts_rejected():
         ClusterSimulation(ClusterConfig(hosts=0))
 
 
-def test_serial_and_parallel_runs_are_identical(monkeypatch):
+def test_serial_and_parallel_runs_are_identical(force_pool):
     # The determinism contract: same seed, same results, any worker count.
-    # SMALL has fewer hosts than the parallel threshold, so force the
-    # pool on to genuinely exercise the fused wire protocol.
-    monkeypatch.setenv("REPRO_MIN_PARALLEL", "1")
-    config = replace(SMALL, adaptive_parallel=False)
-    serial = ClusterSimulation(config).run(workers=1)
-    parallel = ClusterSimulation(config).run(workers=2)
+    serial = ClusterSimulation(SMALL).run(workers=1)
+    sim = ClusterSimulation(SMALL)
+    parallel = sim.run(workers=2)
+    if sim.ipc_bytes_per_epoch == 0:  # pragma: no cover
+        pytest.skip("sandbox cannot fork")
     assert serial == parallel
+    # Deltas shipped over the wire rebuild every view exactly.
+    for index, host in enumerate(sim.hosts):
+        assert sim._views[index] == host.summary()
 
 
-def test_fused_matches_reference_protocol():
-    # The fused single-round-trip protocol must be a pure execution
-    # strategy: byte-identical results to the per-event blocking path.
-    reference = ClusterSimulation(
-        replace(SMALL, fused_epochs=False, view_deltas=False)
-    ).run(workers=1)
-    fused = ClusterSimulation(SMALL).run(workers=1)
-    assert reference == fused
+def test_queued_arrival_views_match_summaries(monkeypatch):
+    # The controller patches its view for each queued arrival instead of
+    # asking the host; once the add op runs, the host must publish
+    # exactly the patched view.  SMALL's initial VMs all arrive in epoch
+    # 0, several per host.
+    sim = ClusterSimulation(SMALL)
+    patched = {}
+    checked = []
+    queue_arrival = sim._queue_arrival
+    add_tenant = engine._queue_add_tenant
+
+    def record_patch(event, epoch, ops):
+        queue_arrival(event, epoch, ops)
+        if event.ordinal in sim._vm_host:
+            patched[event.ordinal] = sim._views[sim._vm_host[event.ordinal]]
+
+    def add_and_check(host, ordinal, *args):
+        add_tenant(host, ordinal, *args)
+        checked.append((patched[ordinal], host.summary()))
+
+    monkeypatch.setattr(sim, "_queue_arrival", record_patch)
+    monkeypatch.setattr(engine, "_queue_add_tenant", add_and_check)
+    sim.run(workers=1)
+    first_epoch = [e for e in sim.trace if e.kind == "arrive" and e.epoch == 0]
+    assert len(first_epoch) > SMALL.hosts
+    assert len(checked) == len(patched) >= len(first_epoch)
+    for view, summary in checked:
+        assert view == summary
+    # Deltas rebuild every view exactly, to the end of the run.
+    for index, host in enumerate(sim.hosts):
+        assert sim._views[index] == host.summary()
 
 
 @pytest.mark.parametrize("spool", [1, 3, 100])
-@pytest.mark.parametrize("deltas", [True, False])
+@pytest.mark.parametrize("serial_spooled", [True, False])
 def test_parallel_identical_across_spool_and_delta_knobs(
-    monkeypatch, spool, deltas
+    force_pool, monkeypatch, spool, serial_spooled
 ):
-    # Spool drains must splice records back in reference order at every
-    # drain boundary, and view deltas must reconstruct exact views.
-    monkeypatch.setenv("REPRO_MIN_PARALLEL", "1")
+    # Spool drains must splice records back in run order at every drain
+    # boundary: every epoch, mid-run, and only after the last epoch.  The
+    # in-process pool spools too, so the serial leg runs either under the
+    # same period or under the default one.  View deltas are always on
+    # and must rebuild every view exactly.
+    if serial_spooled:
+        monkeypatch.setattr(engine, "SPOOL_EPOCHS", spool)
     serial = ClusterSimulation(SMALL).run(workers=1)
-    config = replace(
-        SMALL, spool_epochs=spool, view_deltas=deltas, adaptive_parallel=False
-    )
-    parallel = ClusterSimulation(config).run(workers=2)
+    monkeypatch.setattr(engine, "SPOOL_EPOCHS", spool)
+    sim = ClusterSimulation(SMALL)
+    parallel = sim.run(workers=2)
+    if sim.ipc_bytes_per_epoch == 0:  # pragma: no cover
+        pytest.skip("sandbox cannot fork")
     assert serial == parallel
+    for index, host in enumerate(sim.hosts):
+        assert sim._views[index] == host.summary()
 
 
 def test_tiny_fleet_never_spawns_a_pool(monkeypatch):
     # Three hosts sit under the parallel threshold: even an explicit
     # worker request degrades to the in-process pool.
     monkeypatch.delenv("REPRO_MIN_PARALLEL", raising=False)
+    monkeypatch.setattr(engine.os, "cpu_count", lambda: 2)
     sim = ClusterSimulation(SMALL)
-    assert sim._effective_workers(4, adaptive=False) == 1
+    assert sim._effective_workers(4) == 1
     monkeypatch.setenv("REPRO_MIN_PARALLEL", "1")
-    assert sim._effective_workers(4, adaptive=False) == 4
+    assert sim._effective_workers(4) == 4
+    # A single core has nothing to overlap the workers with.
+    monkeypatch.setattr(engine.os, "cpu_count", lambda: 1)
+    assert sim._effective_workers(4) == 1
 
 
 def test_serial_run_reports_zero_ipc():
@@ -109,13 +146,13 @@ def test_serial_run_reports_zero_ipc():
     assert sim.ipc_peer_bytes == 0
 
 
-def test_parallel_run_counts_ipc_bytes(monkeypatch):
-    monkeypatch.setenv("REPRO_MIN_PARALLEL", "1")
-    sim = ClusterSimulation(replace(SMALL, adaptive_parallel=False))
+def test_parallel_run_counts_ipc_bytes(force_pool):
+    sim = ClusterSimulation(SMALL)
     sim.run(workers=2)
-    if len(sim.ipc_bytes_epochs) != SMALL.epochs:  # pragma: no cover
+    if sim.ipc_bytes_per_epoch == 0:  # pragma: no cover
         pytest.skip("sandbox cannot fork")
-    assert sim.ipc_bytes_per_epoch > 0.0
+    assert len(sim.ipc_bytes_epochs) == SMALL.epochs
+    assert all(epoch_bytes > 0 for epoch_bytes in sim.ipc_bytes_epochs)
 
 
 def test_view_deltas_reconstruct_summaries():
@@ -173,14 +210,7 @@ def test_fleet_key_ignores_fast_path_flags():
     config = ClusterConfig(hosts=2, epochs=4)
     assert fleet_key(config) == fleet_key(replace(config, batch_faults=False))
     assert fleet_key(config) == fleet_key(
-        replace(
-            config,
-            fused_epochs=False,
-            view_deltas=False,
-            spool_epochs=3,
-            adaptive_parallel=False,
-            wire_compression=False,
-        )
+        replace(config, incremental_index=False, fast_kernels=False)
     )
     for field in EXECUTION_STRATEGY_FIELDS:
         assert hasattr(config, field)

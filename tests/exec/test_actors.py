@@ -56,20 +56,32 @@ def _states(count=3):
     return [{"n": index * 10} for index in range(count)]
 
 
+def _call(pool, fn, index, *args):
+    """One op through a submit/drain cycle; returns its result."""
+    pool.submit([(index, fn, args)])
+    return pool.drain()[0]
+
+
+def _each(pool, fn, args):
+    """``fn`` on every state, one batch; results in state order."""
+    pool.submit([(index, fn, arg) for index, arg in enumerate(args)])
+    return pool.drain()
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_apply_mutates_sticky_state(workers):
     with ActorPool(workers) as pool:
         pool.scatter(_states())
-        assert pool.apply(bump, 0, 5) == 5
-        assert pool.apply(bump, 0, 2) == 7  # state persisted across calls
-        assert pool.apply(read, 2) == 20
+        assert _call(pool, bump, 0, 5) == 5
+        assert _call(pool, bump, 0, 2) == 7  # state persisted across calls
+        assert _call(pool, read, 2) == 20
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_map_returns_state_order(workers):
     with ActorPool(workers) as pool:
         pool.scatter(_states())
-        results = pool.map(bump, [(1,), (2,), (3,)])
+        results = _each(pool, bump, [(1,), (2,), (3,)])
         assert results == [1, 12, 23]
 
 
@@ -77,7 +89,7 @@ def test_map_returns_state_order(workers):
 def test_gather_returns_final_states(workers):
     with ActorPool(workers) as pool:
         pool.scatter(_states())
-        pool.map(bump, [(1,)] * 3)
+        _each(pool, bump, [(1,)] * 3)
         assert pool.gather() == [{"n": 1}, {"n": 11}, {"n": 21}]
 
 
@@ -86,7 +98,7 @@ def test_worker_exception_propagates(workers):
     with ActorPool(workers) as pool:
         pool.scatter(_states())
         with pytest.raises(RuntimeError, match="worker exploded"):
-            pool.apply(boom, 1)
+            _call(pool, boom, 1)
 
 
 def test_serial_fallback_is_local():
@@ -133,7 +145,7 @@ def test_scatter_only_once():
 def test_map_order_with_fewer_workers_than_states():
     with ActorPool(2) as pool:
         pool.scatter(_states(5))
-        assert pool.map(bump, [(1,)] * 5) == [1, 11, 21, 31, 41]
+        assert _each(pool, bump, [(1,)] * 5) == [1, 11, 21, 31, 41]
 
 
 @pytest.mark.parametrize("workers", [1, 3])
@@ -210,29 +222,19 @@ def test_transfer_source_failure_does_not_hang_destination():
         with pytest.raises(RuntimeError):
             pool.transfer(0, 1, boom, (), blob_in, ("tag",))
         # The protocol stays aligned for further calls.
-        assert pool.apply(read, 1) == 10
-
-
-def test_retract_pulls_states_home_and_continues_locally():
-    with ActorPool(2) as pool:
-        pool.scatter(_states())
-        pool.apply(bump, 0, 5)
-        pool.retract()
-        assert pool.is_local
-        assert pool.apply(bump, 0, 2) == 7  # worker-side mutation kept
-        assert pool.gather() == [{"n": 7}, {"n": 10}, {"n": 20}]
+        assert _call(pool, read, 1) == 10
 
 
 def test_byte_counters_track_parallel_traffic_only():
     with ActorPool(1) as local:
         local.scatter(_states())
-        local.map(bump, [(1,)] * 3)
+        _each(local, bump, [(1,)] * 3)
         assert local.bytes_sent == 0 and local.bytes_received == 0
     with ActorPool(2) as pool:
         pool.scatter(_states())
         if pool.is_local:  # pragma: no cover - forkless sandbox
             pytest.skip("sandbox cannot fork")
-        pool.map(bump, [(1,)] * 3)
+        _each(pool, bump, [(1,)] * 3)
         assert pool.bytes_sent > 0 and pool.bytes_received > 0
 
 
@@ -242,9 +244,9 @@ def test_wire_compression_shrinks_large_messages():
         pool.scatter(_states())
         if pool.is_local:  # pragma: no cover - forkless sandbox
             pytest.skip("sandbox cannot fork")
-        pool.apply(bump, 0, 1)
+        _call(pool, bump, 0, 1)
         baseline = pool.bytes_sent
-        pool.apply(blob_in, 0, compressible, "tag")
+        _call(pool, blob_in, 0, compressible, "tag")
         raw = len(pickle.dumps(compressible, pickle.HIGHEST_PROTOCOL))
         assert pool.bytes_sent - baseline < raw / 10
 
@@ -255,9 +257,9 @@ def test_unpicklable_worker_exception_surfaces_instead_of_hanging():
         if pool.is_local:  # pragma: no cover - forkless sandbox
             pytest.skip("sandbox cannot fork")
         with pytest.raises(RuntimeError, match="sneaky"):
-            pool.apply(boom_unpicklable, 0)
+            _call(pool, boom_unpicklable, 0)
         # The pool is still usable afterwards: pipes stayed aligned.
-        assert pool.apply(read, 1) == 10
+        assert _call(pool, read, 1) == 10
 
 
 def test_exception_that_pickles_but_wont_unpickle_is_normalised():
@@ -266,8 +268,8 @@ def test_exception_that_pickles_but_wont_unpickle_is_normalised():
         if pool.is_local:  # pragma: no cover - forkless sandbox
             pytest.skip("sandbox cannot fork")
         with pytest.raises(RuntimeError, match="bad:news"):
-            pool.apply(boom_wont_unpickle, 0)
-        assert pool.apply(read, 2) == 20
+            _call(pool, boom_wont_unpickle, 0)
+        assert _call(pool, read, 2) == 20
 
 
 def test_worker_exception_carries_traceback_note():
@@ -276,7 +278,7 @@ def test_worker_exception_carries_traceback_note():
         if pool.is_local:  # pragma: no cover - forkless sandbox
             pytest.skip("sandbox cannot fork")
         with pytest.raises(RuntimeError) as info:
-            pool.apply(boom, 0)
+            _call(pool, boom, 0)
         notes = getattr(info.value, "__notes__", [])
         assert any("worker traceback" in note for note in notes)
 
@@ -299,6 +301,6 @@ def test_worker_exception_carries_host_epoch_context():
         if pool.is_local:  # pragma: no cover - forkless sandbox
             pytest.skip("sandbox cannot fork")
         with pytest.raises(RuntimeError, match="located") as info:
-            pool.apply(boom_with_context, 0)
+            _call(pool, boom_with_context, 0)
         notes = getattr(info.value, "__notes__", [])
         assert any("host=1 epoch=7" in note for note in notes)

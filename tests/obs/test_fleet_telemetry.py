@@ -3,12 +3,11 @@ be identical however the fleet's hosts are spread across processes, and
 collecting it must never change simulation results."""
 
 from collections import defaultdict
-from dataclasses import replace
 
 import pytest
 
 from repro import obs
-from repro.cluster import ClusterConfig, ClusterSimulation
+from repro.cluster import ClusterConfig, ClusterSimulation, engine
 from repro.cluster.config import MigrationConfig
 from repro.obs import Clock, Telemetry
 
@@ -38,8 +37,7 @@ def _run(config, workers, sample=1.0):
     events = obs.get().events()
     obs.disable()
     obs.clear_context()
-    forked = len(sim.ipc_bytes_epochs) == config.epochs and workers > 1
-    return result, events, forked
+    return result, events, sim.ipc_bytes_per_epoch > 0
 
 
 def _by_host(events):
@@ -49,11 +47,9 @@ def _by_host(events):
     return dict(streams)
 
 
-def test_serial_and_parallel_event_streams_match(monkeypatch):
-    monkeypatch.setenv("REPRO_MIN_PARALLEL", "1")
-    config = replace(SMALL, adaptive_parallel=False)
-    serial_result, serial_events, _ = _run(config, workers=1)
-    parallel_result, parallel_events, forked = _run(config, workers=2)
+def test_serial_and_parallel_event_streams_match(force_pool):
+    serial_result, serial_events, _ = _run(SMALL, workers=1)
+    parallel_result, parallel_events, forked = _run(SMALL, workers=2)
     if not forked:  # pragma: no cover
         pytest.skip("sandbox cannot fork")
     assert parallel_result == serial_result
@@ -63,39 +59,18 @@ def test_serial_and_parallel_event_streams_match(monkeypatch):
     assert _by_host(parallel_events) == _by_host(serial_events)
 
 
-def test_fused_and_reference_streams_match(monkeypatch):
-    monkeypatch.setenv("REPRO_MIN_PARALLEL", "1")
-    fused_result, fused_events, _ = _run(
-        replace(SMALL, adaptive_parallel=False), workers=1
-    )
-    ref_result, ref_events, _ = _run(
-        replace(SMALL, adaptive_parallel=False, fused_epochs=False), workers=1
-    )
-    assert ref_result == fused_result
-    assert _by_host(ref_events) == _by_host(fused_events)
-
-
-def test_reference_protocol_parallel_stream_matches(monkeypatch):
-    monkeypatch.setenv("REPRO_MIN_PARALLEL", "1")
-    config = replace(SMALL, adaptive_parallel=False, fused_epochs=False)
-    _, serial_events, _ = _run(config, workers=1)
-    _, parallel_events, forked = _run(config, workers=2)
-    if not forked:  # pragma: no cover
-        pytest.skip("sandbox cannot fork")
-    assert _by_host(parallel_events) == _by_host(serial_events)
-
-
-def test_sampled_streams_match_across_layouts(monkeypatch):
+@pytest.mark.parametrize("spool", [1, 3, 100])
+def test_sampled_streams_match_across_layouts(force_pool, monkeypatch, spool):
     # Stride sampling is per (kind, host) stream and survives spool
-    # resets, so even a sampled log is layout-independent.
-    monkeypatch.setenv("REPRO_MIN_PARALLEL", "1")
-    config = replace(SMALL, adaptive_parallel=False, spool_epochs=2)
-    _, serial_events, _ = _run(config, workers=1, sample=0.5)
-    _, parallel_events, forked = _run(config, workers=2, sample=0.5)
+    # resets, so even a sampled log is layout-independent — whether the
+    # workers drain every epoch, mid-run, or only after the last epoch.
+    monkeypatch.setattr(engine, "SPOOL_EPOCHS", spool)
+    _, serial_events, _ = _run(SMALL, workers=1, sample=0.5)
+    _, parallel_events, forked = _run(SMALL, workers=2, sample=0.5)
     if not forked:  # pragma: no cover
         pytest.skip("sandbox cannot fork")
     assert _by_host(parallel_events) == _by_host(serial_events)
-    full_count = len(_run(config, workers=1)[1])
+    full_count = len(_run(SMALL, workers=1)[1])
     assert 0 < len(serial_events) < full_count
 
 
@@ -106,26 +81,14 @@ def test_telemetry_never_changes_results():
     assert events, "a traced run must produce events"
 
 
-def test_adaptive_retraction_keeps_worker_events(monkeypatch):
-    # Adaptive runs may retract the pool after epoch 0: the sweep before
-    # retraction must preserve whatever the workers emitted, keeping the
-    # stream identical to the serial one.
-    monkeypatch.setenv("REPRO_MIN_PARALLEL", "1")
-    config = replace(SMALL, adaptive_parallel=True)
-    _, serial_events, _ = _run(config, workers=1)
-    _, adaptive_events, _ = _run(config, workers=2)
-    assert _by_host(adaptive_events) == _by_host(serial_events)
-
-
-def test_span_stats_cover_both_sides(monkeypatch):
-    monkeypatch.setenv("REPRO_MIN_PARALLEL", "1")
+def test_span_stats_cover_both_sides(force_pool):
     obs.enable(Telemetry(clock=Clock()))
-    sim = ClusterSimulation(replace(SMALL, adaptive_parallel=False))
+    sim = ClusterSimulation(SMALL)
     sim.run(workers=2)
     stats = obs.get().span_stats()
     obs.disable()
     obs.clear_context()
-    if len(sim.ipc_bytes_epochs) != SMALL.epochs:  # pragma: no cover
+    if sim.ipc_bytes_per_epoch == 0:  # pragma: no cover
         pytest.skip("sandbox cannot fork")
     # Controller-side and (merged) worker-side spans both present.
     assert stats["fleet.epoch"]["count"] == SMALL.epochs

@@ -205,7 +205,6 @@ PRESSURED = ClusterConfig(
     ),
     pressure=PressureConfig(enabled=True),
     migration=MigrationConfig(check_invariants=True),
-    adaptive_parallel=False,
 )
 
 
@@ -216,8 +215,7 @@ def _run_traced(config, workers):
     events = obs.get().events()
     obs.disable()
     obs.clear_context()
-    forked = len(sim.ipc_bytes_epochs) == config.epochs and workers > 1
-    return events, forked
+    return events, sim.ipc_bytes_per_epoch > 0
 
 
 def _health_by_host(events):
@@ -228,18 +226,13 @@ def _health_by_host(events):
     return dict(streams)
 
 
-def test_health_streams_identical_across_layouts(monkeypatch):
-    monkeypatch.setenv("REPRO_MIN_PARALLEL", "1")
+def test_health_streams_identical_across_layouts(force_pool):
     serial_events, _ = _run_traced(PRESSURED, workers=1)
     # The pressured fleet must actually trip a watchdog, or this test
     # pins nothing.
     serial_health = _health_by_host(serial_events)
     assert serial_health
     parallel_events, forked = _run_traced(PRESSURED, workers=2)
-    reference_events, _ = _run_traced(
-        replace(PRESSURED, fused_epochs=False, view_deltas=False), workers=1
-    )
-    assert _health_by_host(reference_events) == serial_health
     if not forked:  # pragma: no cover
         pytest.skip("sandbox cannot fork")
     assert _health_by_host(parallel_events) == serial_health
@@ -312,14 +305,14 @@ def test_worker_exception_dumps_postmortem(tmp_path, monkeypatch):
     obs.set_trace_out_dir(str(tmp_path))
     config = replace(PRESSURED, epochs=10)
     sim = ClusterSimulation(config)
-    original = sim._epoch_fused
+    original = sim._epoch
 
     def sabotage(pool, epoch):
         if epoch == 2:
             raise RuntimeError("epoch sabotage")
         return original(pool, epoch)
 
-    sim._epoch_fused = sabotage
+    sim._epoch = sabotage
     with pytest.raises(RuntimeError, match="epoch sabotage"):
         sim.run(workers=1)
     obs.set_trace_out_dir(None)

@@ -77,24 +77,14 @@ def test_overcommit_admits_beyond_physical_memory():
     assert over_result.placement_failures < base_result.placement_failures
 
 
-def test_serial_and_parallel_pressured_runs_are_identical(monkeypatch):
-    monkeypatch.setenv("REPRO_MIN_PARALLEL", "1")
-    config = replace(PRESSURED, adaptive_parallel=False)
-    serial = ClusterSimulation(config).run(workers=1)
-    sim = ClusterSimulation(config)
+def test_serial_and_parallel_pressured_runs_are_identical(force_pool):
+    serial = ClusterSimulation(PRESSURED).run(workers=1)
+    sim = ClusterSimulation(PRESSURED)
     parallel = sim.run(workers=2)
-    if len(sim.ipc_bytes_epochs) != config.epochs:  # pragma: no cover
+    if sim.ipc_bytes_per_epoch == 0:  # pragma: no cover
         pytest.skip("sandbox cannot fork")
     assert serial == parallel
     assert serial.fleet_swap_out_pages > 0
-
-
-def test_fused_matches_reference_protocol_under_pressure():
-    reference = ClusterSimulation(
-        replace(PRESSURED, fused_epochs=False, view_deltas=False)
-    ).run(workers=1)
-    fused = ClusterSimulation(PRESSURED).run(workers=1)
-    assert reference == fused
 
 
 def _run_traced(config, workers):
@@ -104,8 +94,7 @@ def _run_traced(config, workers):
     events = obs.get().events()
     obs.disable()
     obs.clear_context()
-    forked = len(sim.ipc_bytes_epochs) == config.epochs and workers > 1
-    return result, events, forked
+    return result, events, sim.ipc_bytes_per_epoch > 0
 
 
 def _by_host(events):
@@ -115,12 +104,10 @@ def _by_host(events):
     return dict(streams)
 
 
-def test_pressure_telemetry_is_neutral_and_merges(monkeypatch):
-    monkeypatch.setenv("REPRO_MIN_PARALLEL", "1")
-    config = replace(PRESSURED, adaptive_parallel=False)
-    untraced = ClusterSimulation(config).run(workers=1)
-    serial_result, serial_events, _ = _run_traced(config, workers=1)
-    parallel_result, parallel_events, forked = _run_traced(config, workers=2)
+def test_pressure_telemetry_is_neutral_and_merges(force_pool):
+    untraced = ClusterSimulation(PRESSURED).run(workers=1)
+    serial_result, serial_events, _ = _run_traced(PRESSURED, workers=1)
+    parallel_result, parallel_events, forked = _run_traced(PRESSURED, workers=2)
     # Tracing changes nothing, serial or parallel.
     assert serial_result == untraced
     assert parallel_result == untraced
@@ -173,5 +160,5 @@ def test_pressure_config_is_not_an_execution_strategy():
     assert fleet_key(lru) != aware
     off = replace(PRESSURED, pressure=PressureConfig())
     assert fleet_key(off) != aware
-    # Worker count / wire-protocol toggles still do not change the key.
-    assert fleet_key(replace(PRESSURED, fused_epochs=False)) == aware
+    # Execution-strategy toggles still do not change the key.
+    assert fleet_key(replace(PRESSURED, fast_kernels=False)) == aware

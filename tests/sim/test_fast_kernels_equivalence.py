@@ -109,11 +109,12 @@ def test_fleet_fast_kernels_equal_reference():
     assert fast == reference
 
 
-def test_fleet_fast_kernels_parallel_identical(monkeypatch):
-    monkeypatch.setenv("REPRO_MIN_PARALLEL", "1")
-    config = replace(SMALL_FLEET, adaptive_parallel=False)
-    serial = ClusterSimulation(config).run(workers=1)
-    parallel = ClusterSimulation(config).run(workers=2)
+def test_fleet_fast_kernels_parallel_identical(force_pool):
+    serial = ClusterSimulation(SMALL_FLEET).run(workers=1)
+    sim = ClusterSimulation(SMALL_FLEET)
+    parallel = sim.run(workers=2)
+    if sim.ipc_bytes_per_epoch == 0:  # pragma: no cover
+        pytest.skip("sandbox cannot fork")
     assert serial == parallel
 
 

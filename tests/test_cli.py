@@ -65,30 +65,25 @@ def test_cluster_command(capsys):
     assert "host0:" in out and "host1:" in out
 
 
-def test_cluster_protocol_flags_map_to_config():
-    args = build_parser().parse_args([
-        "cluster", "--no-fused", "--no-view-deltas", "--no-adaptive",
-        "--spool-epochs", "3",
-    ])
-    assert args.fused is False
-    assert args.view_deltas is False
-    assert args.adaptive is False
-    assert args.spool_epochs == 3
-    defaults = build_parser().parse_args(["cluster"])
-    assert defaults.fused and defaults.view_deltas and defaults.adaptive
-    assert defaults.spool_epochs is None
+def test_cluster_has_no_protocol_flags():
+    # The fleet runs one IPC protocol; nothing at the CLI selects another.
+    for flag in ("--no-fused", "--no-view-deltas", "--no-adaptive",
+                 "--spool-epochs=3"):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["cluster", flag])
 
 
-def test_cluster_protocol_flags_do_not_change_results(capsys):
+def test_cluster_workers_do_not_change_results(capsys, force_pool, monkeypatch):
+    # No result cache: the parallel run must really run.
+    monkeypatch.setenv("REPRO_CACHE_DIR", "")
     base = [
         "cluster", "--hosts", "2", "--host-mib", "512",
         "--epochs", "3", "--seed", "7",
     ]
     assert main(base) == 0
-    reference = capsys.readouterr().out
-    assert main(base + ["--no-fused", "--no-view-deltas",
-                        "--spool-epochs", "1"]) == 0
-    assert capsys.readouterr().out == reference
+    serial = capsys.readouterr().out
+    assert main(base + ["--workers", "2"]) == 0
+    assert capsys.readouterr().out == serial
 
 
 def test_cluster_profile_prints_hotspots(capsys):
