@@ -17,13 +17,13 @@ from repro.workloads import make_workload
 def run_with_balloon(alignment_aware: bool):
     config = SimulationConfig(epochs=12, fragment_guest=0.3, fragment_host=0.3)
     sim = Simulation(make_workload("Masstree"), system="Gemini", config=config)
-    vm = sim._vms[0]
+    vm = sim.host.tenants[0].vm
     balloon = BalloonDriver(sim.platform, vm, alignment_aware=alignment_aware)
 
     # Drive the run epoch by epoch, inflating/deflating between epochs.
     results = [RunResult(system="Gemini", workload="Masstree")]
     for epoch in range(config.epochs):
-        sim._epoch(epoch, results)
+        sim.step(epoch, results)
         if epoch % 3 == 1:
             balloon.inflate(2 * PAGES_PER_HUGE)
         if epoch % 3 == 2:

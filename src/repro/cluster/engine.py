@@ -29,8 +29,8 @@ views and moves only migration candidates.
 parallel runs of the same seed are bit-identical: the controller makes
 every decision from the views alone.  Fleets smaller than
 ``REPRO_MIN_PARALLEL`` hosts never spawn a pool (mirroring
-``run_cells``), and neither do single-core machines, where workers would
-timeshare one core and pay the IPC on top.
+``run_cells``), and a pool never has more workers than the machine has
+cores, so single-core machines never spawn one either.
 
 ``run_cluster`` wraps a run with the content-keyed result cache, exactly
 like ``run_cells`` does for single-host experiment cells.
@@ -60,6 +60,7 @@ from repro.exec.actors import ActorPool
 from repro.exec.cache import ResultCache, code_version
 from repro.exec.pool import min_parallel_threshold, resolve_workers
 from repro.mem.layout import MIB, PAGE_SIZE
+from repro.obs.health import watch_health
 from repro.workloads import make_workload
 
 __all__ = [
@@ -171,7 +172,12 @@ class ClusterSimulation:
         self.config = config or ClusterConfig()
         if self.config.hosts <= 0:
             raise ValueError("at least one host required")
-        self.hosts = [Host(i, self.config) for i in range(self.config.hosts)]
+        # Distinct noise stream per host: a large odd stride keeps the
+        # per-host seeds disjoint from the per-tenant workload seeds.
+        self.hosts = [
+            Host(i, self.config, noise_seed=self.config.seed + 7919 * i + 13)
+            for i in range(self.config.hosts)
+        ]
         self.placement = make_placement(self.config.placement)
         self.trace = build_trace(self.config)
         self._events: dict[int, list[TraceEvent]] = {}
@@ -236,60 +242,23 @@ class ClusterSimulation:
         pool.scatter(self.hosts)
         self._obs_reset_workers(pool)
         self.ipc_bytes_epochs = []
-        telemetry, recorder, installed_monitor = self._obs_attach_health(pool)
         try:
-            for epoch in range(config.epochs):
-                bytes_before = pool.bytes_sent + pool.bytes_received
-                obs.set_context(host=None, epoch=epoch)
-                with obs.span("fleet.epoch"):
-                    self._epoch(pool, epoch)
-                self.ipc_bytes_epochs.append(
-                    pool.bytes_sent + pool.bytes_received - bytes_before
-                )
-            self.ipc_peer_bytes = pool.peer_bytes
-            # Bring the final host states home so callers can inspect
-            # them the same way after serial and parallel runs.
-            self.hosts = pool.gather()
-        except BaseException as error:
-            if recorder is not None:
-                recorder.dump("exception", config=config, error=error)
-            raise
+            with watch_health(config, pool):
+                for epoch in range(config.epochs):
+                    bytes_before = pool.bytes_sent + pool.bytes_received
+                    obs.set_context(host=None, epoch=epoch)
+                    with obs.span("fleet.epoch"):
+                        self._epoch(pool, epoch)
+                    self.ipc_bytes_epochs.append(
+                        pool.bytes_sent + pool.bytes_received - bytes_before
+                    )
+                self.ipc_peer_bytes = pool.peer_bytes
+                # Bring the final host states home so callers can inspect
+                # them the same way after serial and parallel runs.
+                self.hosts = pool.gather()
         finally:
-            if installed_monitor and telemetry is not None:
-                telemetry.monitor = None
             pool.close()
         return self.result
-
-    def _obs_attach_health(self, pool: ActorPool):
-        """Install the health watchdogs for this run (controller only).
-
-        Workers never carry a monitor — ``_obs_reset_workers`` rebuilt
-        their registries bare — so each host's stream is audited exactly
-        once, in its canonical per-host order, whatever the process
-        layout.  With a trace directory configured, a flight recorder is
-        armed on watchdog breaches and worker exceptions.
-        """
-        telemetry = obs.get()
-        if telemetry is None:
-            return None, None, False
-        from repro.obs.health import FlightRecorder, HealthMonitor
-
-        installed = False
-        if telemetry.monitor is None:
-            telemetry.monitor = HealthMonitor()
-            installed = True
-        out_dir = obs.trace_out_dir()
-        recorder = None
-        if out_dir is not None:
-            recorder = FlightRecorder(telemetry, out_dir)
-            config = self.config
-            telemetry.monitor.on_breach = (
-                lambda finding: recorder.breach(finding, config=config)
-            )
-            pool.on_failure = lambda error: recorder.dump(
-                "worker-exception", config=config, error=error
-            )
-        return telemetry, recorder, installed
 
     def _obs_reset_workers(self, pool: ActorPool) -> None:
         """One post-scatter round-trip (telemetry on, real pool only)."""
@@ -306,11 +275,9 @@ class ClusterSimulation:
         # analogue of run_cells' MIN_PARALLEL_CELLS gate).
         if len(self.hosts) < min_parallel_threshold(MIN_PARALLEL_HOSTS):
             return 1
-        # Nothing to overlap with: a single-core machine timeshares the
-        # workers and pays the IPC on top.
-        if (os.cpu_count() or 1) < 2:
-            return 1
-        return workers
+        # Workers beyond the core count timeshare cores and pay the IPC
+        # on top; a single-core machine gets no pool at all.
+        return min(workers, os.cpu_count() or 1)
 
     # ------------------------------------------------------------------
     # One epoch: one round-trip per worker

@@ -1,24 +1,26 @@
-"""One fleet host: a :class:`~repro.hypervisor.platform.Platform` plus its
+"""One host: a :class:`~repro.hypervisor.platform.Platform` plus its
 tenants, noise agent, (optional) Gemini runtime and per-epoch stepping.
+
+:meth:`Host.step_epoch` is the simulator's one epoch kernel.  The fleet
+engine steps every host with it, and the single-host
+:class:`~repro.sim.engine.Simulation` is a driver over one host.  Each
+epoch the tenants' workloads fault, each touched 2 MiB region is
+classified against the guest table and the EPT, the TLB model is
+evaluated and the epoch's costs are split between tenants, and then the
+daemons run (policy scans, the Gemini runtime, the pressure ladder).
 
 A :class:`Host` is fully self-contained and picklable: the cluster engine
 can ship it to a worker process, step it there, and take the mutated copy
 back — with results identical to stepping in place, because every source
 of randomness a host touches (its noise stream, its tenants' workload
 RNGs) lives inside the host and `random.Random` pickles its exact state.
-
-``step_epoch`` mirrors :meth:`repro.sim.engine.Simulation._epoch` —
-workloads run, ledger deltas are split between tenants, translation
-segments are classified and TLB-evaluated, daemons run between epochs —
-reusing the engine's shared helpers so the single-host and fleet paths
-cannot drift apart.
 """
 
 from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field, fields, replace
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 from repro import obs
 from repro.cluster.results import HostEpochRecord, TenantEpochRecord
@@ -28,14 +30,14 @@ from repro.hypervisor.platform import Platform
 from repro.hypervisor.vm import PROCESS, VM
 from repro.mem.fragmentation import Fragmenter, fmfi
 from repro.mem.layout import HUGE_ORDER, PAGES_PER_HUGE
-from repro.metrics.alignment import alignment_report
+from repro.metrics.alignment import alignment_report, classify_region
 from repro.metrics.performance import epoch_performance
 from repro.policies.base import EpochTelemetry
 from repro.policies.registry import system_spec
 from repro.pressure.controller import PressureController
-from repro.sim.engine import build_segments, charge_dedup_cow
 from repro.sim.noise import NoiseAgent
-from repro.tlb.model import TLBModel
+from repro.tlb import costs
+from repro.tlb.model import TLBModel, TranslationSegment, TranslationStats
 from repro.workloads.base import Workload, WorkloadContext
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -46,9 +48,110 @@ __all__ = [
     "HostView",
     "Tenant",
     "apply_view_delta",
+    "backfill_host",
+    "build_segments",
+    "charge_dedup_cow",
     "resident_pages",
     "resident_runs",
 ]
+
+
+def build_segments(
+    platform: Platform, vm: VM, workload: Workload, epoch: int
+) -> list[TranslationSegment]:
+    """Classify one epoch's accesses into TLB-model segments.
+
+    Walks the workload's access phases, classifies each touched 2 MiB
+    region against both page tables (through the VM's translation index
+    when present), and spreads the epoch's accesses over the resulting
+    translation kinds.
+    """
+    segments: list[TranslationSegment] = []
+    guest_table = vm.guest.table(PROCESS)
+    ept = platform.ept(vm.id)
+    vm_index = platform.index_of(vm.id)
+    total_accesses = workload.accesses_per_epoch
+    for phase in workload.access_phases(epoch):
+        if phase.vma not in vm.address_space:
+            continue
+        vma = vm.address_space.vma(phase.vma)
+        hot_pages = max(1, int(vma.npages * phase.hot_fraction))
+        first_region = vma.start // PAGES_PER_HUGE
+        last_region = (vma.start + hot_pages - 1) // PAGES_PER_HUGE
+        entries: dict = {}
+        pages: dict = {}
+        walk: dict = {}
+        for vregion in range(first_region, last_region + 1):
+            # A valid cached classification implies every guest-physical
+            # page the region depends on is still EPT-translated (any
+            # removal invalidates the cache), so backfill_host would be
+            # a pure no-op — skip both on a hit.
+            classes = None if vm_index is None else vm_index.cached_classes(vregion)
+            if classes is None:
+                backfill_host(platform, vm, vregion)
+                classes = classify_region(guest_table, ept, vregion)
+                if vm_index is not None:
+                    vm_index.store_classes(vregion, classes)
+            for cls in classes:
+                entries[cls.kind] = entries.get(cls.kind, 0) + cls.entries
+                pages[cls.kind] = pages.get(cls.kind, 0) + cls.pages
+                walk[cls.kind] = cls.walk_cycles
+        total_pages = sum(pages.values())
+        if total_pages == 0:
+            continue
+        phase_accesses = total_accesses * phase.weight
+        for kind, kind_entries in entries.items():
+            segments.append(
+                TranslationSegment(
+                    entries=kind_entries,
+                    accesses=phase_accesses * pages[kind] / total_pages,
+                    walk_cycles=walk[kind],
+                    label=f"{vma.name}:{kind.value}",
+                )
+            )
+    return segments
+
+
+def backfill_host(platform: Platform, vm: VM, vregion: int) -> None:
+    """Fault any host backing that accesses to *vregion* would demand.
+
+    After a guest-side migration the data lives at new guest-physical
+    addresses that the EPT has not backed yet; real accesses would
+    EPT-fault, so the engine faults them before evaluating the epoch.
+    """
+    guest_table = vm.guest.table(PROCESS)
+    ept = platform.ept(vm.id)
+    if guest_table.is_huge(vregion):
+        gpregion = guest_table.huge_target(vregion)
+        if ept.is_huge(gpregion):
+            return
+        base = gpregion * PAGES_PER_HUGE
+        if platform.batch_faults:
+            # Contiguous ascending range, no fault hook on this path:
+            # the batched walk makes the identical per-page decisions.
+            platform.host.fault_range(vm.id, base, PAGES_PER_HUGE)
+            return
+        for gpn in range(base, base + PAGES_PER_HUGE):
+            if ept.translate(gpn) is None:
+                platform.host.fault(vm.id, gpn, full_region=True)
+        return
+    for _, gpn in guest_table.region_items(vregion):
+        if ept.translate(gpn) is None:
+            platform.host.fault(vm.id, gpn, full_region=True)
+
+
+def charge_dedup_cow(vm: VM, workload: Workload) -> None:
+    """HawkEye's zero-page deduplication backfires on workloads that
+    write their deduplicated pages (Section 6.2, Specjbb)."""
+    policy = vm.guest.policy
+    if not getattr(policy, "deduplicates_zero_pages", False):
+        return
+    if workload.zero_page_dedup_rate <= 0.0:
+        return
+    faults = workload.zero_page_dedup_rate * workload.ops_per_epoch
+    vm.guest.ledger.charge(
+        "cow_fault", costs.COW_FAULT_CYCLES * faults, count=int(faults)
+    )
 
 
 def resident_runs(vm: VM) -> list[tuple[int, int]]:
@@ -195,24 +298,35 @@ class Tenant:
 
 
 class Host:
-    """A fleet host: platform + tenants + per-host daemons."""
+    """A host: platform + tenants + per-host daemons.
 
-    def __init__(self, index: int, config: "ClusterConfig") -> None:
+    *noise_seed* and *nodes* are per-host inputs the engine that builds
+    the host computes (the fleet gives every host its own noise stream;
+    the single-host driver passes its config's seed and NUMA nodes).
+    """
+
+    def __init__(
+        self,
+        index: int,
+        config: "ClusterConfig",
+        noise_seed: int,
+        nodes: int = 1,
+    ) -> None:
         self.index = index
         self.config = config
         self.spec = system_spec(config.system)
-        self.platform = Platform.with_mib(config.host_mib, self.spec.make_host())
+        self.platform = Platform.with_mib(
+            config.host_mib, self.spec.make_host(), nodes=nodes
+        )
         self.platform.batch_faults = config.batch_faults
         self.platform.use_index = config.incremental_index
         self.platform.fast_kernels = config.fast_kernels
         self.tlb_model = TLBModel(config.tlb, memoize=config.fast_kernels)
-        # Distinct noise stream per host: a large odd stride keeps the
-        # per-host seeds disjoint from the per-tenant workload seeds.
         self.noise = NoiseAgent(
             self.platform,
             rate=config.noise_rate,
             free_fraction=config.noise_free_fraction,
-            seed=config.seed + 7919 * index + 13,
+            seed=noise_seed,
         )
         self.noise.install()
         self.runtime: GeminiRuntime | None = None
@@ -248,7 +362,9 @@ class Host:
         self._pinned_pages = (
             self.platform.memory.total_pages - self.platform.memory.free_pages
         )
-        self._last_misses = 0.0
+        # Each epoch's host cost delta is taken against this snapshot, and
+        # it advances at delta time, so work done by the between-epoch
+        # daemons is charged to the *next* epoch.
         self._host_snapshot = self.platform.host.ledger.snapshot()
         # Records accumulate here (also while stepping inside a worker
         # process) and are drained by the engine every ``SPOOL_EPOCHS``.
@@ -258,6 +374,10 @@ class Host:
         #: view deltas are encoded against.  Lives on the host so it
         #: travels with it to and from worker processes.
         self._view_baseline: HostView | None = None
+        #: Called with each tenant right after its epoch record is made,
+        #: before the daemons run.  The single-host driver samples the
+        #: mapping counts its records carry here; fleets leave it unset.
+        self.on_tenant_record: Callable[[Tenant], None] | None = None
 
     # ------------------------------------------------------------------
     # Introspection
@@ -455,10 +575,39 @@ class Host:
     # ------------------------------------------------------------------
 
     def step_epoch(self, epoch: int) -> None:
-        """Run one fleet epoch on this host (cf. Simulation._epoch)."""
+        """Run one epoch on this host: the simulator's one epoch kernel."""
         obs.set_context(host=self.index, epoch=epoch)
         with obs.span("host.step"):
             self._step_epoch(epoch)
+
+    def translation_stats(
+        self, tenant: Tenant, workload_epoch: int
+    ) -> TranslationStats:
+        """Classify *tenant*'s accesses of *workload_epoch* against the
+        current page tables and evaluate them on this host's TLB model."""
+        segments = build_segments(
+            self.platform, tenant.vm, tenant.workload, workload_epoch
+        )
+        return self.tlb_model.evaluate(segments)
+
+    def run_daemons(self, epoch: int, tlb_misses: float = 0.0) -> None:
+        """The between-epoch daemons: policy scans, the Gemini runtime and
+        the pressure ladder.  Negative epochs (a reused VM's primer)
+        skip the pressure ladder."""
+        for ordinal in sorted(self.tenants):
+            self.tenants[ordinal].vm.guest.policy.scan(None)
+        self.platform.host.policy.scan(None)
+        if self.runtime is not None:
+            self.runtime.epoch(now=float(epoch), tlb_misses=tlb_misses)
+        if self.pressure is not None and epoch >= 0:
+            self.pressure.run(epoch)
+
+    def reset_ledgers(self) -> None:
+        """Restart every cost delta from now: work done so far (a primer
+        run) is charged to no epoch."""
+        self._host_snapshot = self.platform.host.ledger.snapshot()
+        for tenant in self.tenants.values():
+            tenant.guest_snapshot = tenant.vm.guest.ledger.snapshot()
 
     def _step_epoch(self, epoch: int) -> None:
         tenants = [self.tenants[ordinal] for ordinal in sorted(self.tenants)]
@@ -481,14 +630,11 @@ class Host:
                 charge_dedup_cow(vm, workload)
                 if self.pressure is not None:
                     # Dirty sets follow the tenant's own epoch count (its
-                    # access phases), heat decays in fleet-epoch time.
+                    # access phases), heat decays in host-epoch time.
                     self.pressure.log_dirty(
                         vm, workload, epoch, workload_epoch=tenant.epochs_run
                     )
-                segments = build_segments(
-                    self.platform, vm, workload, tenant.epochs_run
-                )
-                stats = self.tlb_model.evaluate(segments)
+                stats = self.translation_stats(tenant, tenant.epochs_run)
                 epoch_misses += stats.misses
 
                 guest_delta = vm.guest.ledger.delta_since(tenant.guest_snapshot)
@@ -522,6 +668,8 @@ class Host:
                         fmfi_guest=guest_fmfi,
                     )
                 )
+                if self.on_tenant_record is not None:
+                    self.on_tenant_record(tenant)
                 obs.emit(
                     "tenant.epoch",
                     ordinal=tenant.ordinal,
@@ -539,15 +687,12 @@ class Host:
         self.platform.host.policy.on_epoch(
             EpochTelemetry(epoch, epoch_misses, host_fmfi)
         )
-        self._last_misses = epoch_misses
+        # Daemons run *between* epochs: promotions and bookings made now
+        # take effect for the next epoch's accesses, so repair mechanisms
+        # carry a one-epoch lag while fault-time mechanisms (huge faults
+        # from booked/bucketed regions) act immediately.
         with obs.span("host.daemons"):
-            for tenant in tenants:
-                tenant.vm.guest.policy.scan(None)
-            self.platform.host.policy.scan(None)
-            if self.runtime is not None:
-                self.runtime.epoch(now=float(epoch), tlb_misses=self._last_misses)
-            if self.pressure is not None:
-                self.pressure.run(epoch)
+            self.run_daemons(epoch, epoch_misses)
 
         memory = self.platform.memory
         aligned_free = memory.free_pages_at_or_above(HUGE_ORDER)

@@ -51,12 +51,12 @@ def _run_with_balloon(
     inflate_regions: int,
 ) -> BalloonOutcome:
     sim = Simulation(make_workload(workload_name), system="Gemini", config=config)
-    vm = sim._vms[0]
+    vm = sim.host.tenants[0].vm
     balloon = BalloonDriver(sim.platform, vm, alignment_aware=alignment_aware)
     results = [RunResult(system="Gemini", workload=workload_name)]
     reclaimed = 0
     for epoch in range(config.epochs):
-        sim._epoch(epoch, results)
+        sim.step(epoch, results)
         if epoch % 3 == 1:
             reclaimed += balloon.inflate(inflate_regions * PAGES_PER_HUGE)
         elif epoch % 3 == 2:
@@ -121,7 +121,7 @@ def _run_with_ksm(
     )
     results = [RunResult(system="Gemini", workload=workload_name)]
     for epoch in range(config.epochs):
-        sim._epoch(epoch, results)
+        sim.step(epoch, results)
         daemon.scan()
     return KsmOutcome(
         variant=variant,

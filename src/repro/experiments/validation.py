@@ -101,14 +101,13 @@ def run_validation(
             workload = make_workload(workload_name)
             sim = Simulation(workload, system=system, config=config)
             sim.run_single()
-            vm = sim._vms[0]
+            tenant = sim.host.tenants[0]
             # Evaluate both models against the *final* page-table state
             # (the run's last recorded epoch predates the final daemon
             # pass, which would skew the comparison).
-            segments = sim._build_segments(workload, vm, config.epochs - 1)
-            stats = sim.tlb_model.evaluate(segments)
+            stats = sim.host.translation_stats(tenant, config.epochs - 1)
             analytic = stats.miss_rate
-            traced = _trace_epoch(sim, vm, workload, trace_accesses, seed)
+            traced = _trace_epoch(sim, tenant.vm, workload, trace_accesses, seed)
             points.append(
                 ValidationPoint(
                     workload=workload_name,

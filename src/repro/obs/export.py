@@ -125,7 +125,7 @@ def write_chrome_trace(telemetry: Telemetry, path: str | pathlib.Path,
 #: Event kinds folded into the per-epoch time series, mapped to the
 #: summed columns they contribute.
 _SERIES_KINDS = frozenset({
-    "host.epoch", "sim.epoch", "booking.book", "booking.expire",
+    "host.epoch", "tenant.epoch", "booking.book", "booking.expire",
     "promote.guest", "promote.host", "fleet.migrate",
     "pressure.watermark", "swap.out", "swap.in", "pressure.demote",
 })
@@ -136,11 +136,18 @@ def timeseries_rows(events: Iterable[Event]) -> list[dict[str, object]]:
 
     Each row counts the decision events landed on that host in that
     epoch and carries the last-seen per-epoch summary fields (FMFI,
-    alignment) from ``host.epoch``/``sim.epoch`` records.
+    free pages) from ``host.epoch`` records.  Every ``tenant.epoch``
+    record becomes a row of its own after its host's row: the workload's
+    per-epoch TLB misses, alignment and guest FMFI.
     """
-    table: dict[tuple[int, int | None], dict[str, object]] = {}
+    table: dict[tuple, dict[str, object]] = {}
     for event in events:
         if event.kind not in _SERIES_KINDS or event.epoch is None:
+            continue
+        if event.kind == "tenant.epoch":
+            fields = dict(event.fields)
+            key = (event.epoch, event.host, fields["ordinal"])
+            table[key] = {"epoch": event.epoch, "host": event.host, **fields}
             continue
         key = (event.epoch, event.host)
         row = table.get(key)
@@ -191,15 +198,15 @@ def timeseries_rows(events: Iterable[Event]) -> list[dict[str, object]]:
             fields = dict(event.fields)
             row["watermark"] = fields.get("level", "")
             row["free_pages"] = fields.get("free_pages", "")
-        else:  # host.epoch / sim.epoch summary records
+        else:  # host.epoch summary records
             for key_name, value in event.fields:
                 row[key_name] = value
     return [table[key] for key in sorted(table, key=_row_order)]
 
 
-def _row_order(key: tuple[int, int | None]) -> tuple[int, int]:
-    epoch, host = key
-    return (epoch, -1 if host is None else host)
+def _row_order(key: tuple) -> tuple[int, int, int]:
+    epoch, host, *ordinal = key
+    return (epoch, -1 if host is None else host, ordinal[0] if ordinal else -1)
 
 
 def export_run(

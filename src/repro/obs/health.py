@@ -23,7 +23,9 @@ import dataclasses
 import json
 import pathlib
 from collections import deque
+from contextlib import contextmanager
 
+from repro import obs
 from repro.obs.events import Event
 
 __all__ = [
@@ -37,6 +39,7 @@ __all__ = [
     "HealthMonitor",
     "FlightRecorder",
     "summarize_health",
+    "watch_health",
 ]
 
 
@@ -377,6 +380,46 @@ class FlightRecorder:
             _write_json(bundle / "config.json", payload)
         self.bundles.append(bundle)
         return bundle
+
+
+@contextmanager
+def watch_health(config, pool=None):
+    """Watch one engine run with the health monitor, when telemetry is on.
+
+    Installs a :class:`HealthMonitor` unless one is already attached, and
+    removes it again when the run ends.  With a trace directory
+    configured, a :class:`FlightRecorder` dumps a bundle on watchdog
+    breaches, on an exception escaping the run and, through *pool*'s
+    ``on_failure`` hook, on worker exceptions.  Only the controller
+    process calls this, so each host's stream is audited exactly once.
+    """
+    telemetry = obs.get()
+    if telemetry is None:
+        yield
+        return
+    installed = telemetry.monitor is None
+    if installed:
+        telemetry.monitor = HealthMonitor()
+    recorder = None
+    out_dir = obs.trace_out_dir()
+    if out_dir is not None:
+        recorder = FlightRecorder(telemetry, out_dir)
+        telemetry.monitor.on_breach = (
+            lambda finding: recorder.breach(finding, config=config)
+        )
+        if pool is not None:
+            pool.on_failure = lambda error: recorder.dump(
+                "worker-exception", config=config, error=error
+            )
+    try:
+        yield
+    except BaseException as error:
+        if recorder is not None:
+            recorder.dump("exception", config=config, error=error)
+        raise
+    finally:
+        if installed:
+            telemetry.monitor = None
 
 
 def _write_json(path: pathlib.Path, payload) -> None:

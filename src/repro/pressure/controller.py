@@ -66,7 +66,7 @@ def dirty_regions(
     """The guest-physical regions *workload* dirties in *epoch* — the
     epoch-sampled equivalent of draining a PML log.
 
-    Mirrors :func:`repro.sim.engine.build_segments`: each access phase
+    Mirrors :func:`repro.cluster.host.build_segments`: each access phase
     touches the first ``hot_fraction`` of its VMA, so the dirty GVA range
     is known without replaying accesses; it is folded through the guest
     page table to guest-physical regions.

@@ -1,4 +1,4 @@
-"""Simulation engine: configuration, OS noise, the epoch-driven run loop,
+"""Single-host simulation: configuration, OS noise, the driver over one host,
 and result records."""
 
 from repro.sim.config import SimulationConfig

@@ -28,7 +28,7 @@ def _hosts(system="THP", check=True, host_mib=512):
         system=system,
         migration=MigrationConfig(check_invariants=check),
     )
-    return Host(0, config), Host(1, config), config
+    return Host(0, config, noise_seed=0), Host(1, config, noise_seed=1), config
 
 
 def _warm_source(src, workload="Redis", epochs=4):

@@ -118,7 +118,8 @@ def test_timeseries_csv_unions_columns():
     rows = timeseries_rows(
         [
             Event("host.epoch", 0, 0, 1, 0.0, (("fmfi", 0.1),)),
-            Event("sim.epoch", None, 0, 1, 0.0, (("workload", "Redis"),)),
+            Event("tenant.epoch", 0, 0, 2, 0.0,
+                  (("ordinal", 0), ("workload", "Redis"))),
         ]
     )
     text = telemetry_series_to_csv(rows)

@@ -27,7 +27,7 @@ def test_pressure_lets_an_undersized_host_survive():
     sim = Simulation(workload, system="Gemini", config=small_host(True))
     result = sim.run_single()
     assert result.throughput > 0.0
-    controller = sim.pressure
+    controller = sim.host.pressure
     assert controller is not None
     assert controller.pressured_epochs > 0
     assert controller.device.pages_out > 0
@@ -40,7 +40,7 @@ def test_pressure_lets_an_undersized_host_survive():
 def test_disabled_pressure_keeps_the_engine_untouched():
     config = small_host(False, host_mib=768)
     sim = Simulation(make_workload("Redis"), system="Gemini", config=config)
-    assert sim.pressure is None
+    assert sim.host.pressure is None
     result = sim.run_single()
     assert result.throughput > 0.0
 

@@ -77,7 +77,7 @@ def test_touch_range_matches_touch_loop():
             make_workload("Redis"), system="THP",
             config=replace(BASE, batch_faults=batch, epochs=1, noise_rate=0.0),
         )
-        vm = sim._vms[0]
+        vm = sim.host.tenants[0].vm
         vma = vm.mmap(3 * PAGES_PER_HUGE + 17, "probe")
         if batch:
             sim.platform.touch_range(vm, vma.start, vma.npages)

@@ -148,6 +148,29 @@ def test_cluster_trace_out_exports_artifacts(tmp_path, capsys, _trace_env):
         assert (out / name).stat().st_size > 0
 
 
+def test_run_trace_out_reports_single_host_epochs(tmp_path, capsys, _trace_env):
+    import csv
+
+    from repro.obs.export import read_jsonl
+
+    out = tmp_path / "trace"
+    assert main(["run", "Redis", "--epochs", "2", "--trace-out", str(out)]) == 0
+    assert "critical paths over" in capsys.readouterr().out
+    events = read_jsonl((out / "events.jsonl").read_text())
+    redis_epochs = [
+        event.epoch
+        for event in events
+        if event.kind == "tenant.epoch"
+        and dict(event.fields)["workload"] == "Redis"
+    ]
+    assert redis_epochs and sorted(set(redis_epochs)) == [0, 1]
+    with open(out / "series.csv", newline="") as stream:
+        rows = list(csv.DictReader(stream))
+    workload_rows = [row for row in rows if row["workload"] == "Redis"]
+    assert [row["epoch"] for row in workload_rows] == ["0", "1"]
+    assert all(row["well_aligned_rate"] for row in workload_rows)
+
+
 def test_trace_subcommand_defaults_out_dir(tmp_path, capsys, monkeypatch,
                                            _trace_env):
     monkeypatch.chdir(tmp_path)
