@@ -1,36 +1,26 @@
 """Perf smoke test: batched fault hot path and executor/cache matrix.
 
-Times the two optimisations this repository's performance work rests on
-and records the numbers in ``BENCH_perf.json`` at the repository root so
-the bench trajectory is populated from run to run:
+Times the simulator's hot paths and records the numbers in
+``BENCH_perf.json`` at the repository root so the bench trajectory is
+populated from run to run:
 
 * **Single cell** — one fragmented 8-epoch Redis/Gemini simulation, the
-  profile workload for the fault hot path.  Run batched
-  (``Platform.touch_range`` -> ``MemoryLayer.fault_range`` -> buddy range
-  claims) and per-page (``batch_faults=False``), plus compared against
+  profile workload for the fault hot path (``Platform.touch_range`` ->
+  ``MemoryLayer.fault_range`` -> buddy range claims), compared against
   the recorded pre-optimisation baseline of the same cell (per-page
   faulting with linear free-list scans, measured before the region index
   and batch path landed).
 * **Scan-heavy cell** — a long (many-epoch, low-churn) fragmented
   SVM/Gemini run whose epochs re-touch a large mapped footprint and
   re-derive per-epoch translation state, the profile workload for the
-  incremental translation-state index.  Run with the index
-  (``incremental_index=True``) and with the reference rescan path.
-* **Kernels** — the profile-guided hot-path kernels
-  (``fast_kernels``): bitset frame scans, quiescent-epoch replay
-  skipping, memoized TLB evaluation and incremental consolidation
-  scoring.  Both the fleet cell and the scan-heavy cell run with the
-  kernels and with the per-frame reference loops; results must be
-  bit-identical, and a pair of traced fleet runs receipts the span-level
-  claim — the ``host.workloads`` + ``gemini.host`` hot path that PR 7's
-  telemetry flagged must shed at least 40% of its self time (measured
-  ~58% on the profiling box).
+  incremental translation-state index and the quiescent-range cache.
 * **Matrix** — a 6-cell workload x system matrix, serial and cold versus
   4 workers with a warm result cache, the configuration experiment
   sweeps actually run in.  Small batches must not regress against serial
   (the pool falls back to serial below ``MIN_PARALLEL_CELLS``).
 * **Fleet** — an 8-host x 12-epoch cluster simulation, serial versus
-  4 workers on the sticky-state actor pool (hosts live on their worker
+  up to 4 workers (capped at the core count) on the sticky-state actor
+  pool (hosts live on their worker
   for the whole run).  Two measurements: wall clock (parallel must beat
   serial where the cores exist, and stay within noise of it where they
   do not), and controller IPC bytes per epoch of the fused protocol
@@ -45,10 +35,8 @@ the bench trajectory is populated from run to run:
   ``BENCH_trace.json`` / ``BENCH_events.jsonl`` for CI artifact upload.
 
 The assertions are deliberately machine-independent where possible
-(batched must not lose to per-page; the index must be >= 2x on the
-scan-heavy cell; a warm cache must be >= 3x) and use the recorded
-baseline only where the win is large enough (>= 6x here) to absorb slow
-CI hardware.
+(a warm cache must be >= 3x) and use the recorded baseline only where
+the win is large enough (>= 6x here) to absorb slow CI hardware.
 """
 
 from __future__ import annotations
@@ -83,8 +71,7 @@ PRE_OPT_SINGLE_CELL_SECONDS = 1.98
 
 #: Scan-heavy: a static-array workload whose epochs re-touch the whole
 #: mapped footprint, run long enough that per-epoch scan work dominates
-#: the one-time setup faults.  This is where the incremental index pays:
-#: the reference path re-walks both page tables every epoch.
+#: the one-time setup faults.  This is where the incremental index pays.
 SCAN_HEAVY = SimulationConfig(epochs=144, fragment_guest=0.8, fragment_host=0.8)
 
 MATRIX_CONFIG = SimulationConfig(epochs=6, fragment_guest=0.8, fragment_host=0.8)
@@ -132,38 +119,15 @@ def _timed(fn):
 
 
 def test_perf_smoke(tmp_path):
-    # --- single cell: batched vs per-page reference path -----------------
-    batched, batched_s = _timed(
+    # --- single cell: the fault hot path --------------------------------
+    _, batched_s = _timed(
         lambda: run_workload(make_workload("Redis"), "Gemini", config=SINGLE)
     )
-    per_page, per_page_s = _timed(
-        lambda: run_workload(
-            make_workload("Redis"), "Gemini",
-            config=replace(SINGLE, batch_faults=False),
-        )
-    )
-    assert batched == per_page, "batched fault path diverged from per-page"
 
-    # --- scan-heavy cell: incremental index vs reference rescans ---------
-    indexed, indexed_s = _timed(
+    # --- scan-heavy cell: the index and the quiescent-range cache --------
+    _, indexed_s = _timed(
         lambda: run_workload(make_workload("SVM"), "Gemini", config=SCAN_HEAVY)
     )
-    rescan, rescan_s = _timed(
-        lambda: run_workload(
-            make_workload("SVM"), "Gemini",
-            config=replace(SCAN_HEAVY, incremental_index=False),
-        )
-    )
-    assert indexed == rescan, "incremental index diverged from reference"
-
-    # --- scan-heavy cell: fast kernels vs per-frame reference loops ------
-    scan_kernels_ref, scan_kernels_ref_s = _timed(
-        lambda: run_workload(
-            make_workload("SVM"), "Gemini",
-            config=replace(SCAN_HEAVY, fast_kernels=False),
-        )
-    )
-    assert scan_kernels_ref == indexed, "fast kernels diverged from reference"
 
     # --- matrix: serial cold vs 4 workers + warm cache -------------------
     cells = [
@@ -198,16 +162,6 @@ def test_perf_smoke(tmp_path):
     )
     assert fleet_serial == fleet_parallel, "parallel fleet diverged from serial"
     fused_ipc = parallel_sim.ipc_bytes_per_epoch
-
-    # --- fleet: fast kernels vs per-frame reference loops ----------------
-    fleet_kernels_ref, fleet_kernels_ref_s = _timed(
-        lambda: ClusterSimulation(
-            replace(FLEET_CONFIG, fast_kernels=False)
-        ).run(workers=1)
-    )
-    assert fleet_kernels_ref == fleet_serial, (
-        "fast kernels diverged from reference on the fleet"
-    )
 
     # --- telemetry: disabled cost and enabled overhead -------------------
     # Disabled helpers are one global check and out; price them per call
@@ -244,42 +198,6 @@ def test_perf_smoke(tmp_path):
     assert set(range(FLEET_CONFIG.hosts)) <= hosts_seen
     assert None in hosts_seen
 
-    # A second traced run on the reference loops receipts the span-level
-    # kernel claim: where did the wall clock actually go.  The hot path
-    # PR 7's profile flagged is workload replay self time plus the whole
-    # gemini.host subtree (its former self time now lives in the
-    # gemini.host.scan/promote child spans, so the subtree total is the
-    # comparable quantity).  Span self times are the most
-    # noise-sensitive numbers in this file, so a pair that lands under
-    # the floor is re-measured once before it can fail the run.
-    def _traced_spans(config):
-        try:
-            telemetry_run = obs.enable(obs.Telemetry())
-            traced_result = ClusterSimulation(config).run(workers=1)
-            return traced_result, telemetry_run.span_stats()
-        finally:
-            obs.disable()
-            obs.clear_context()
-
-    def _hot_self(span_stats):
-        return (
-            span_stats["host.workloads"]["self_s"]
-            + span_stats["gemini.host"]["total_s"]
-        )
-
-    spans_fast = spans
-    for attempt in range(2):
-        fleet_traced_ref, spans_ref = _traced_spans(
-            replace(FLEET_CONFIG, fast_kernels=False)
-        )
-        assert fleet_traced_ref == fleet_serial, "telemetry changed fleet results"
-        hot_fast, hot_ref = _hot_self(spans_fast), _hot_self(spans_ref)
-        hot_path_reduction = 1.0 - hot_fast / hot_ref
-        if hot_path_reduction >= 0.40 or attempt:
-            break
-        fleet_traced_retry, spans_fast = _traced_spans(FLEET_CONFIG)
-        assert fleet_traced_retry == fleet_serial
-
     # --- overcommit fleet: pressure ladder cost and alignment savings ----
     # The same squeezed trace per victim policy; serial vs parallel must
     # stay bit-identical with the whole ladder (balloon, KSM, swap) on.
@@ -312,14 +230,17 @@ def test_perf_smoke(tmp_path):
     single_speedup = PRE_OPT_SINGLE_CELL_SECONDS / batched_s
     matrix_speedup = serial_s / warm_s
     cores = os.cpu_count() or 1
-    # Honesty gate for the fleet parallel claim: without the cores (or
-    # without fork) "parallel beats serial" is not a claim this box can
-    # test.
+    # The engine caps the pool at the core count, so this is the worker
+    # count the parallel run really got.
+    pool_workers = min(FLEET_WORKERS, cores)
+    # Honesty gate for the fleet parallel claim: without a pool of at
+    # least two workers (or without fork) "parallel beats serial" is not
+    # a claim this box can test.
     parallel_engaged = fused_ipc > 0
     if not parallel_engaged:
         parallel_assertion = "skipped (no worker pool: single core or no fork)"
-    elif cores < FLEET_WORKERS:
-        parallel_assertion = f"skipped (only {cores} cores for {FLEET_WORKERS} workers)"
+    elif pool_workers < 2:
+        parallel_assertion = f"skipped (a pool of {pool_workers} worker)"
     else:
         parallel_assertion = "enforced"
     report = {
@@ -328,8 +249,6 @@ def test_perf_smoke(tmp_path):
             "system": "Gemini",
             "epochs": SINGLE.epochs,
             "batched_seconds": round(batched_s, 4),
-            "per_page_seconds": round(per_page_s, 4),
-            "speedup_vs_per_page": round(per_page_s / batched_s, 2),
             "pre_opt_baseline_seconds": PRE_OPT_SINGLE_CELL_SECONDS,
             "speedup_vs_pre_opt_baseline": round(single_speedup, 2),
         },
@@ -338,8 +257,6 @@ def test_perf_smoke(tmp_path):
             "system": "Gemini",
             "epochs": SCAN_HEAVY.epochs,
             "indexed_seconds": round(indexed_s, 4),
-            "rescan_seconds": round(rescan_s, 4),
-            "speedup_vs_rescan": round(rescan_s / indexed_s, 2),
         },
         "matrix": {
             "cells": len(cells),
@@ -360,7 +277,7 @@ def test_perf_smoke(tmp_path):
             "host_mib": FLEET_CONFIG.host_mib,
             "serial_seconds": round(fleet_serial_s, 4),
             "parallel_seconds": round(fleet_parallel_s, 4),
-            "workers": FLEET_WORKERS,
+            "workers": pool_workers,
             "cores": cores,
             "speedup_parallel_vs_serial": round(
                 fleet_serial_s / fleet_parallel_s, 2
@@ -371,40 +288,6 @@ def test_perf_smoke(tmp_path):
             "ipc_peer_bytes_fused": parallel_sim.ipc_peer_bytes,
             "migrations": fleet_serial.migration_count,
             "fleet_fmfi": round(fleet_serial.fleet_fmfi, 4),
-        },
-        "kernels": {
-            "fleet": {
-                "hosts": FLEET_CONFIG.hosts,
-                "epochs": FLEET_CONFIG.epochs,
-                "fast_seconds": round(fleet_serial_s, 4),
-                "reference_seconds": round(fleet_kernels_ref_s, 4),
-                "speedup": round(fleet_kernels_ref_s / fleet_serial_s, 2),
-            },
-            "scan_heavy_cell": {
-                "workload": "SVM",
-                "system": "Gemini",
-                "epochs": SCAN_HEAVY.epochs,
-                "fast_seconds": round(indexed_s, 4),
-                "reference_seconds": round(scan_kernels_ref_s, 4),
-                "speedup": round(scan_kernels_ref_s / indexed_s, 2),
-            },
-            "span_self_time": {
-                "host_workloads_self_reference_s": round(
-                    spans_ref["host.workloads"]["self_s"], 4
-                ),
-                "host_workloads_self_fast_s": round(
-                    spans_fast["host.workloads"]["self_s"], 4
-                ),
-                "gemini_host_total_reference_s": round(
-                    spans_ref["gemini.host"]["total_s"], 4
-                ),
-                "gemini_host_total_fast_s": round(
-                    spans_fast["gemini.host"]["total_s"], 4
-                ),
-                "combined_reference_s": round(hot_ref, 4),
-                "combined_fast_s": round(hot_fast, 4),
-                "reduction": round(hot_path_reduction, 3),
-            },
         },
         "overcommit_fleet": {
             "hosts": OVERCOMMIT_FLEET.hosts,
@@ -448,7 +331,6 @@ def test_perf_smoke(tmp_path):
             "events_buffered": obs_stats["events_buffered"],
             "spans_closed": obs_stats["spans_closed"],
             "spans": spans,
-            "spans_reference_kernels": spans_ref,
         },
     }
     BENCH_JSON.write_text(json.dumps(report, indent=2) + "\n")
@@ -459,14 +341,9 @@ def test_perf_smoke(tmp_path):
         rev=os.environ.get("GITHUB_SHA"),
     )
 
-    # Machine-independent: batching strictly removes per-page Python work.
-    assert batched_s <= per_page_s * 1.10
     # >= 2x single-cell win over the recorded pre-optimisation baseline
     # (measured ~6.6x on the profiling box; slack for slower CI runners).
     assert single_speedup >= 2.0
-    # >= 2x on the scan-heavy cell: the index replaces per-epoch rescans
-    # and re-touch translate work (measured ~2.9x on the profiling box).
-    assert rescan_s / indexed_s >= 2.0
     # A 6-cell batch is below MIN_PARALLEL_CELLS, so the cold "parallel"
     # run must take the serial path instead of paying ~1 s pool startup.
     assert cold_s <= serial_s * 1.25
@@ -488,14 +365,6 @@ def test_perf_smoke(tmp_path):
     else:
         # Too few cores (or an in-process run): allow real noise.
         assert fleet_parallel_s <= fleet_serial_s * 1.25
-    # The fast kernels replace the three telemetry-identified per-frame
-    # hot paths; >= 1.5x on the fleet cell and >= 1.2x on the scan-heavy
-    # cell (measured ~2.3x / ~1.8x on the profiling box).
-    assert fleet_kernels_ref_s / fleet_serial_s >= 1.5
-    assert scan_kernels_ref_s / indexed_s >= 1.2
-    # The span receipt: the flagged host.workloads + gemini.host hot
-    # path must shed >= 40% of its self time (measured ~58%).
-    assert hot_path_reduction >= 0.40
     # The child spans that attribute the remaining time must be present
     # in the trace (they feed the format_top_spans job summary).
     for name in ("gemini.host.scan", "gemini.host.promote", "consolidate.score"):

@@ -126,15 +126,6 @@ class ClusterConfig:
     #: on the pressure subsystem (ballooning, KSM, swap) to absorb the
     #: difference when tenants actually touch their pages.
     overcommit_ratio: float = 1.0
-    #: Batched fault delivery / incremental index (bit-identical fast
-    #: paths, same flags as SimulationConfig).
-    batch_faults: bool = True
-    incremental_index: bool = True
-    #: Profiled hot-path batch kernels (bitset frame scans, span-level
-    #: map/free batches, quiescent-range touch cache, memoized TLB
-    #: evaluation, incremental consolidation scores) — bit-identical to
-    #: the per-frame reference paths; same flag as SimulationConfig.
-    fast_kernels: bool = True
     #: Nested knob groups.
     churn: ChurnConfig = field(default_factory=ChurnConfig)
     migration: MigrationConfig = field(default_factory=MigrationConfig)

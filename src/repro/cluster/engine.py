@@ -475,12 +475,10 @@ class ClusterSimulation:
     def _host_score(self, index: int) -> tuple:
         """(overloaded, underloaded, cheapest ordinal) of the host's
         current view; cached per host and recomputed only when
-        :meth:`_set_view` saw the view change (``fast_kernels`` off
-        recomputes every time)."""
-        if self.config.fast_kernels:
-            score = self._scores[index]
-            if score is not None:
-                return score
+        :meth:`_set_view` saw the view change."""
+        score = self._scores[index]
+        if score is not None:
+            return score
         view = self._views[index]
         consolidation = self.config.consolidation
         # The cheapest VM to move: the smallest resident set.
@@ -501,8 +499,7 @@ class ClusterSimulation:
             bool(view.residents) and view.utilization < consolidation.underload,
             cheapest,
         )
-        if self.config.fast_kernels:
-            self._scores[index] = score
+        self._scores[index] = score
         return score
 
     def _consolidate_body(self, pool: ActorPool, epoch: int) -> None:
@@ -593,30 +590,15 @@ class ClusterSimulation:
 # Cached entry point
 # ----------------------------------------------------------------------
 
-#: ClusterConfig fields that select bit-identical execution strategies;
-#: excluded from the content key so every combination shares cache
-#: entries (enforced by the fast-path equivalence tests).
-EXECUTION_STRATEGY_FIELDS = (
-    "batch_faults",
-    "incremental_index",
-    "fast_kernels",
-)
-
-
 def fleet_key(config: ClusterConfig) -> str:
     """Content key of one fleet run: same key == same result.
 
-    Like :func:`repro.exec.cache.cell_key`, the bit-identical fast-path
-    knobs (:data:`EXECUTION_STRATEGY_FIELDS` — fault batching, the
-    incremental index and the batch kernels) are excluded so all
-    settings share cache entries, and the code version is folded in so
-    editing the simulator invalidates stale results.
+    Like :func:`repro.exec.cache.cell_key`, every config field is
+    hashed, and the code version is folded in so editing the simulator
+    invalidates stale results.
     """
-    payload = asdict(config)
-    for field_name in EXECUTION_STRATEGY_FIELDS:
-        payload.pop(field_name, None)
     raw = json.dumps(
-        {"cluster": payload, "code": code_version()},
+        {"cluster": asdict(config), "code": code_version()},
         sort_keys=True,
         default=repr,
     ).encode()

@@ -30,7 +30,7 @@ from repro.hypervisor.platform import Platform
 from repro.hypervisor.vm import PROCESS, VM
 from repro.mem.fragmentation import Fragmenter, fmfi
 from repro.mem.layout import HUGE_ORDER, PAGES_PER_HUGE
-from repro.metrics.alignment import alignment_report, classify_region
+from repro.metrics.alignment import classify_region
 from repro.metrics.performance import epoch_performance
 from repro.policies.base import EpochTelemetry
 from repro.policies.registry import system_spec
@@ -62,9 +62,8 @@ def build_segments(
     """Classify one epoch's accesses into TLB-model segments.
 
     Walks the workload's access phases, classifies each touched 2 MiB
-    region against both page tables (through the VM's translation index
-    when present), and spreads the epoch's accesses over the resulting
-    translation kinds.
+    region against both page tables (through the VM's translation index),
+    and spreads the epoch's accesses over the resulting translation kinds.
     """
     segments: list[TranslationSegment] = []
     guest_table = vm.guest.table(PROCESS)
@@ -86,12 +85,11 @@ def build_segments(
             # page the region depends on is still EPT-translated (any
             # removal invalidates the cache), so backfill_host would be
             # a pure no-op — skip both on a hit.
-            classes = None if vm_index is None else vm_index.cached_classes(vregion)
+            classes = vm_index.cached_classes(vregion)
             if classes is None:
                 backfill_host(platform, vm, vregion)
                 classes = classify_region(guest_table, ept, vregion)
-                if vm_index is not None:
-                    vm_index.store_classes(vregion, classes)
+                vm_index.store_classes(vregion, classes)
             for cls in classes:
                 entries[cls.kind] = entries.get(cls.kind, 0) + cls.entries
                 pages[cls.kind] = pages.get(cls.kind, 0) + cls.pages
@@ -125,15 +123,11 @@ def backfill_host(platform: Platform, vm: VM, vregion: int) -> None:
         gpregion = guest_table.huge_target(vregion)
         if ept.is_huge(gpregion):
             return
-        base = gpregion * PAGES_PER_HUGE
-        if platform.batch_faults:
-            # Contiguous ascending range, no fault hook on this path:
-            # the batched walk makes the identical per-page decisions.
-            platform.host.fault_range(vm.id, base, PAGES_PER_HUGE)
-            return
-        for gpn in range(base, base + PAGES_PER_HUGE):
-            if ept.translate(gpn) is None:
-                platform.host.fault(vm.id, gpn, full_region=True)
+        # Contiguous ascending range, no fault hook on this path: the
+        # batched walk makes the identical per-page decisions.
+        platform.host.fault_range(
+            vm.id, gpregion * PAGES_PER_HUGE, PAGES_PER_HUGE
+        )
         return
     for _, gpn in guest_table.region_items(vregion):
         if ept.translate(gpn) is None:
@@ -163,42 +157,16 @@ def resident_runs(vm: VM) -> list[tuple[int, int]]:
     of the few events that sheds it.
     """
     table = vm.guest.table(PROCESS)
-    if vm.guest.fast_kernels:
-        # Span kernel: huge mappings are already aligned 512-page runs and
-        # their guest-physical blocks never overlap base-mapped frames
-        # (both come from disjoint gpa-space allocations), so the sorted
-        # union of pages equals the sorted merge of the two run lists.
-        runs = [
-            (gpregion * PAGES_PER_HUGE, PAGES_PER_HUGE)
-            for _, gpregion in table.huge_mappings()
-        ]
-        start = count = 0
-        for gpn in sorted({gpn for _, gpn in table.base_mappings()}):
-            if count and gpn == start + count:
-                count += 1
-                continue
-            if count:
-                runs.append((start, count))
-            start, count = gpn, 1
-        if count:
-            runs.append((start, count))
-        runs.sort()
-        merged: list[tuple[int, int]] = []
-        for rstart, rcount in runs:
-            if merged and rstart == merged[-1][0] + merged[-1][1]:
-                merged[-1] = (merged[-1][0], merged[-1][1] + rcount)
-            else:
-                merged.append((rstart, rcount))
-        return merged
-    gpns: set[int] = set()
-    for _, gpregion in table.huge_mappings():
-        base = gpregion * PAGES_PER_HUGE
-        gpns.update(range(base, base + PAGES_PER_HUGE))
-    for _, gpn in table.base_mappings():
-        gpns.add(gpn)
-    runs: list[tuple[int, int]] = []
+    # Huge mappings are already aligned 512-page runs and their
+    # guest-physical blocks never overlap base-mapped frames (both come
+    # from disjoint gpa-space allocations), so the sorted union of pages
+    # equals the sorted merge of the two run lists.
+    runs = [
+        (gpregion * PAGES_PER_HUGE, PAGES_PER_HUGE)
+        for _, gpregion in table.huge_mappings()
+    ]
     start = count = 0
-    for gpn in sorted(gpns):
+    for gpn in sorted({gpn for _, gpn in table.base_mappings()}):
         if count and gpn == start + count:
             count += 1
             continue
@@ -207,7 +175,14 @@ def resident_runs(vm: VM) -> list[tuple[int, int]]:
         start, count = gpn, 1
     if count:
         runs.append((start, count))
-    return runs
+    runs.sort()
+    merged: list[tuple[int, int]] = []
+    for rstart, rcount in runs:
+        if merged and rstart == merged[-1][0] + merged[-1][1]:
+            merged[-1] = (merged[-1][0], merged[-1][1] + rcount)
+        else:
+            merged.append((rstart, rcount))
+    return merged
 
 
 def resident_pages(vm: VM) -> int:
@@ -318,10 +293,7 @@ class Host:
         self.platform = Platform.with_mib(
             config.host_mib, self.spec.make_host(), nodes=nodes
         )
-        self.platform.batch_faults = config.batch_faults
-        self.platform.use_index = config.incremental_index
-        self.platform.fast_kernels = config.fast_kernels
-        self.tlb_model = TLBModel(config.tlb, memoize=config.fast_kernels)
+        self.tlb_model = TLBModel(config.tlb)
         self.noise = NoiseAgent(
             self.platform,
             rate=config.noise_rate,
@@ -648,13 +620,7 @@ class Host:
                     background_cycles=guest_delta.background_cycles
                     + host_delta.background_cycles * host_share,
                 )
-                vm_index = self.platform.index_of(vm.id)
-                if vm_index is not None:
-                    report = vm_index.report()
-                else:
-                    report = alignment_report(
-                        vm.guest.table(PROCESS), self.platform.ept(vm.id)
-                    )
+                report = self.platform.index_of(vm.id).report()
                 guest_fmfi = fmfi(vm.gpa_space)
                 self._tenant_records.append(
                     TenantEpochRecord(

@@ -164,15 +164,8 @@ def migrate_in(
     host.adopt_tenant(tenant, state)
     vm = tenant.vm
     layer = host.platform.host
-    if host.platform.batch_faults:
-        for start, count in runs:
-            layer.fault_range(vm.id, start, count)
-    else:
-        ept = host.platform.ept(vm.id)
-        for start, count in runs:
-            for gpn in range(start, start + count):
-                if ept.translate(gpn) is None:
-                    layer.fault(vm.id, gpn, full_region=True)
+    for start, count in runs:
+        layer.fault_range(vm.id, start, count)
     if config.check_invariants:
         _check_destination(host, tenant, runs)
     return host.publish_view()

@@ -169,8 +169,7 @@ class AlignmentAwarePlacement(PlacementPolicy):
     Contention dominates capacity (a starved coalescer never uses the
     contiguity it has), so the policy is lexicographic: fewest resident
     VMs first, then the largest alignment score — aligned free capacity
-    minus the misalignment penalty.  With indices disabled the penalty
-    term is zero and the tiebreak degrades to aligned-capacity fit.
+    minus the misalignment penalty.
     """
 
     name = "alignment-aware"

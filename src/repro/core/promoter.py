@@ -154,7 +154,7 @@ class GuestPromoter:
                 return tied[0]
         counts: dict[int, int] = {}
         start = gpregion * PAGES_PER_HUGE
-        bits = layer.rmap_bits(gpregion) if layer.fast_kernels else None
+        bits = layer.rmap_bits(gpregion)
         frames = (
             _iter_set_bits(start, bits)
             if bits is not None
@@ -187,7 +187,7 @@ class GuestPromoter:
         # the region, scratch frames live outside it), so walking the
         # snapshot visits exactly the frames the 512-probe walk finds
         # occupied, in the same ascending order.
-        bits = layer.rmap_bits(gpregion) if layer.fast_kernels else None
+        bits = layer.rmap_bits(gpregion)
         frames = (
             _iter_set_bits(start, bits)
             if bits is not None

@@ -235,44 +235,25 @@ class GeminiRuntime:
         if state is None:
             return True
         vm = state.vm
-        start = gpregion * PAGES_PER_HUGE
-        if vm.guest.region_owner_counts(gpregion) is not None:
-            # Counting fast path.  The reference loop below returns False
-            # iff some allocated frame is not base-owned while none of the
-            # frame-independent escapes (huge owner, booked, bucketed)
-            # hold; rmap entries only exist for allocated frames, so
-            # "every allocated frame is base-owned" is exactly
-            # allocated == base_owned_in_region.
-            if vm.guest.owner_of_region(gpregion) is not None:
-                return True
-            if gpregion in state.booking or gpregion in state.bucket:
-                return True
-            free = vm.gpa_space.free_pages_in_range(start, PAGES_PER_HUGE)
-            return PAGES_PER_HUGE - free == vm.guest.base_owned_in_region(gpregion)
-        for frame in range(start, start + PAGES_PER_HUGE):
-            if vm.gpa_space.is_free(frame):
-                continue
-            if vm.guest.owner_of_frame(frame) is not None:
-                continue
-            if vm.guest.owner_of_region(gpregion) is not None:
-                continue
-            if gpregion in state.booking or gpregion in state.bucket:
-                continue
-            return False
-        return True
+        # A huge owner, a booking or a bucket entry makes the region
+        # alignable whatever its frames hold.  Otherwise every allocated
+        # frame must be base-owned; rmap entries only exist for allocated
+        # frames, so that is exactly allocated == base_owned_in_region.
+        if vm.guest.owner_of_region(gpregion) is not None:
+            return True
+        if gpregion in state.booking or gpregion in state.bucket:
+            return True
+        free = vm.gpa_space.free_pages_in_range(
+            gpregion * PAGES_PER_HUGE, PAGES_PER_HUGE
+        )
+        return PAGES_PER_HUGE - free == vm.guest.base_owned_in_region(gpregion)
 
     def _free_host_region(self) -> int | None:
         """Lowest free huge-aligned host region, or None."""
-        memory = self.platform.memory
-        if self.platform.fast_kernels:
-            # An aligned fit needs at least PAGES_PER_HUGE free pages, so
-            # only the region index's large entries can qualify; both
-            # listings ascend by start frame, so the first hit is the
-            # same region the full walk would return.
-            regions = memory.large_free_regions()
-        else:
-            regions = memory.free_regions()
-        for start, npages in regions:
+        # An aligned fit needs at least PAGES_PER_HUGE free pages, so only
+        # the region index's large entries can qualify; the listing
+        # ascends by start frame, so the first hit is the lowest region.
+        for start, npages in self.platform.memory.large_free_regions():
             aligned = huge_align_up(start)
             if aligned + PAGES_PER_HUGE <= start + npages:
                 return aligned // PAGES_PER_HUGE

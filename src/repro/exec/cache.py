@@ -4,10 +4,8 @@ A cell's cache key is a SHA-256 over everything its result depends on: the
 workload and system names, every :class:`~repro.sim.config.SimulationConfig`
 field, the primer factory's qualified name, and a code-version tag hashed
 from the ``repro`` package sources — so editing the simulator invalidates
-the whole cache instead of serving stale results.  ``batch_faults``,
-``incremental_index`` and ``fast_kernels`` are excluded from the key: each
-selects between two paths that produce bit-identical results by
-construction (and by test), so all settings may share entries.
+the whole cache instead of serving stale results.  No field is left out:
+every config field selects a result, not an execution strategy.
 
 The cache directory comes from the ``REPRO_CACHE_DIR`` environment
 variable (or an explicit :class:`ResultCache`); without it, caching is
@@ -48,10 +46,6 @@ def code_version() -> str:
 
 def cell_key(cell: Cell) -> str:
     """Content key of one cell: same key == same simulation result."""
-    config = asdict(cell.config)
-    config.pop("batch_faults", None)
-    config.pop("incremental_index", None)
-    config.pop("fast_kernels", None)
     primer = None
     if cell.primer_factory is not None:
         primer = (
@@ -60,7 +54,7 @@ def cell_key(cell: Cell) -> str:
     payload = {
         "workload": cell.workload,
         "system": cell.system,
-        "config": config,
+        "config": asdict(cell.config),
         "primer": primer,
         "code": code_version(),
     }

@@ -38,37 +38,13 @@ class Platform:
         #: the simulation engine hooks OS allocation noise in here so that
         #: kernel/slab-style allocations interleave with workload faults.
         self.fault_hook = None
-        #: Serve multi-page touches through the batched fault path (same
-        #: results, O(spans) work); False forces the per-page path.
-        self.batch_faults = True
-        #: Maintain the incremental translation-state index for VMs
-        #: created from now on (same results, O(changed-regions) epoch
-        #: work); False keeps the enumerate-everything reference path.
-        self.use_index = True
-        #: Per-VM translation indices, populated by :meth:`create_vm`
-        #: when ``use_index`` is set.
+        #: Per-VM translation indices, one per attached VM (see
+        #: :meth:`attach_vm`).
         self.indices: dict[int, VMTranslationIndex] = {}
-        #: Serve hot paths through the batch/bitset kernels and the
-        #: quiescent-range cache (same results, O(words)/O(spans) work);
-        #: assign through the property to reach the MM layers too.
-        self._fast_kernels = True
         #: vm id -> {(start, npages): index.invalidation_gen} for ranges
         #: proven fully translated at both layers.  While the generation
         #: matches, re-touching the range is a no-op and skips in O(1).
         self._quiescent: dict[int, dict[tuple[int, int], int]] = {}
-
-    @property
-    def fast_kernels(self) -> bool:
-        return self._fast_kernels
-
-    @fast_kernels.setter
-    def fast_kernels(self, value: bool) -> None:
-        self._fast_kernels = bool(value)
-        self.host.fast_kernels = self._fast_kernels
-        for vm in self.vms.values():
-            vm.guest.fast_kernels = self._fast_kernels
-        if not self._fast_kernels:
-            self._quiescent.clear()
 
     @classmethod
     def with_mib(
@@ -107,15 +83,13 @@ class Platform:
         # Gemini's huge bucket keys off this.
         ept = self.host.table(vm.id)
         vm.guest.alignment_probe = ept.is_huge
-        vm.guest.fast_kernels = self._fast_kernels
-        if self.use_index:
-            guest_table = vm.guest.table(PROCESS)
-            guest_table.enable_index()
-            ept.enable_index()
-            vm.guest.enable_owner_index()
-            # The index bootstraps from the tables' current state, so a
-            # migrated-in VM's populated guest table is summarised too.
-            self.indices[vm.id] = VMTranslationIndex(guest_table, ept)
+        guest_table = vm.guest.table(PROCESS)
+        guest_table.enable_index()
+        ept.enable_index()
+        vm.guest.enable_owner_index()
+        # The index bootstraps from the tables' current state, so a
+        # migrated-in VM's populated guest table is summarised too.
+        self.indices[vm.id] = VMTranslationIndex(guest_table, ept)
 
     def detach_vm(self, vm: VM | int) -> int:
         """Remove a VM from this host (departure half of live migration).
@@ -127,11 +101,10 @@ class Platform:
         vm = self.vms[vm] if isinstance(vm, int) else vm
         if vm.id not in self.vms:
             raise ValueError(f"VM id {vm.id} not attached to this platform")
-        index = self.indices.pop(vm.id, None)
+        index = self.indices.pop(vm.id)
         self._quiescent.pop(vm.id, None)
-        if index is not None:
-            vm.guest.table(PROCESS).remove_watcher(index)
-            self.ept(vm.id).remove_watcher(index)
+        vm.guest.table(PROCESS).remove_watcher(index)
+        self.ept(vm.id).remove_watcher(index)
         freed = self.host.release_client(vm.id)
         del self.vms[vm.id]
         vm.guest.alignment_probe = None
@@ -177,32 +150,33 @@ class Platform:
         """Touch ``[start, start + npages)``, batching the fault path.
 
         Produces the identical end state (mappings, allocator layout,
-        ledger totals, RNG stream) as *npages* :meth:`touch` calls.  The
-        per-page path is kept for ``batch_faults=False`` and for foreign
-        fault hooks that cannot pre-commit to a noise-free window.
+        ledger totals, RNG stream) as *npages* :meth:`touch` calls.  Foreign
+        fault hooks that cannot pre-commit to a noise-free window get the
+        per-page path.
         """
+        if npages <= 0:
+            return
         end = start + npages
         hook = self.fault_hook
         horizon = getattr(hook, "act_horizon", None)
-        if not self.batch_faults or (hook is not None and horizon is None):
+        if hook is not None and horizon is None:
             for vpn in range(start, end):
                 self.touch(vm, vpn)
             return
-        index = self.indices.get(vm.id)
-        if self._fast_kernels and index is not None and npages > 0:
-            # Quiescent-range cache: a range once proven fully translated
-            # at both layers stays a no-op until some region anywhere
-            # leaves the fully-translated set (demote, unmap, remap,
-            # migration teardown) — every such event bumps the index's
-            # invalidation generation, so a matching fingerprint makes the
-            # replay O(1) instead of O(regions).
-            cache = self._quiescent.get(vm.id)
-            if cache is not None and cache.get((start, npages)) == index.invalidation_gen:
-                return
+        index = self.indices[vm.id]
+        # Quiescent-range cache: a range once proven fully translated at
+        # both layers stays a no-op until some region anywhere leaves the
+        # fully-translated set (demote, unmap, remap, migration teardown)
+        # — every such event bumps the index's invalidation generation,
+        # so a matching fingerprint makes the replay O(1) instead of
+        # O(regions).
+        cache = self._quiescent.get(vm.id)
+        if cache is not None and cache.get((start, npages)) == index.invalidation_gen:
+            return
         all_skipped = True
         pos = start
         while pos < end:
-            if index is not None and (pos == start or pos % PAGES_PER_HUGE == 0):
+            if pos == start or pos % PAGES_PER_HUGE == 0:
                 # A region translated at both layers cannot fault at
                 # either, so touching it is a no-op: skip it whole.
                 vregion = pos // PAGES_PER_HUGE
@@ -225,7 +199,7 @@ class Platform:
                 pos += 1
                 continue
             pos += self._touch_unmapped_run(vm, pos, n)
-        if all_skipped and self._fast_kernels and index is not None and npages > 0:
+        if all_skipped:
             self._quiescent.setdefault(vm.id, {})[(start, npages)] = index.invalidation_gen
 
     def _touch_unmapped_run(self, vm: VM, start: int, npages: int) -> int:
@@ -273,10 +247,10 @@ class Platform:
         vm_id = vm.id if isinstance(vm, VM) else vm
         return self.host.table(vm_id)
 
-    def index_of(self, vm: VM | int) -> VMTranslationIndex | None:
-        """The VM's translation index, or None when disabled."""
+    def index_of(self, vm: VM | int) -> VMTranslationIndex:
+        """The translation index of an attached VM; accepts a VM or its id."""
         vm_id = vm.id if isinstance(vm, VM) else vm
-        return self.indices.get(vm_id)
+        return self.indices[vm_id]
 
     def iter_vms(self) -> Iterator[VM]:
         yield from self.vms.values()

@@ -93,10 +93,6 @@ class MemoryLayer:
         #: (vstart, vend) of the enclosing VMA.  Wired by the VM on its
         #: guest layer; stays None in the host layer.
         self.vma_bounds: Callable[[int, int], tuple[int, int] | None] | None = None
-        #: Serve batchable operations through the span kernels (same
-        #: results, O(spans)/O(words) work); False forces the per-page
-        #: reference paths everywhere.
-        self.fast_kernels = True
         #: Optional last-chance reclaim callback: given a page deficit,
         #: free at least that many frames and return how many were freed.
         #: Wired to the pressure controller's emergency swap-out on host
@@ -467,7 +463,7 @@ class MemoryLayer:
                         continue
                     frame, count = batch
                     if frame is None:
-                        if self.fast_kernels and self.memory.free_pages >= count:
+                        if self.memory.free_pages >= count:
                             # Order-0 allocation cannot fail while frames
                             # remain, so the batch kernel reproduces the
                             # per-page alloc sequence exactly; the frames
@@ -487,13 +483,8 @@ class MemoryLayer:
                                 emit(pos, frame, 1, "base")
                                 pos += 1
                     else:
-                        if self.fast_kernels:
-                            table.map_base_run(pos, frame, count)
-                            self._set_rmap_run(frame, client, pos, count)
-                        else:
-                            for i in range(count):
-                                table.map_base(pos + i, frame + i)
-                                self._set_rmap(frame + i, client, pos + i)
+                        table.map_base_run(pos, frame, count)
+                        self._set_rmap_run(frame, client, pos, count)
                         emit(pos, frame, count, "base")
                         pos += count
                     base_faults += count
@@ -568,15 +559,9 @@ class MemoryLayer:
         pregion = self.alloc_huge_region()
         if pregion is None:
             return False
-        if self.fast_kernels:
-            table.unmap_region_base(vregion)
-            self._drop_rmap_region(client, vregion, mappings)
-            self._free_frames_batch(mappings.values())
-        else:
-            for vpn, old_pfn in mappings.items():
-                table.unmap_base(vpn)
-                self._drop_rmap(old_pfn, client, vpn)
-                self.release_frame(old_pfn)
+        table.unmap_region_base(vregion)
+        self._drop_rmap_region(client, vregion, mappings)
+        self._free_frames_batch(mappings.values())
         table.map_huge(vregion, pregion)
         self._rmap_huge[pregion] = (client, vregion)
         populated = len(mappings)
@@ -719,16 +704,12 @@ class MemoryLayer:
             return
         table.demote(vregion)
         del self._rmap_huge[pregion]
-        if self.fast_kernels:
-            self._set_rmap_run(
-                pregion * PAGES_PER_HUGE,
-                client,
-                vregion * PAGES_PER_HUGE,
-                PAGES_PER_HUGE,
-            )
-        else:
-            for vpn, pfn in table.region_items(vregion):
-                self._set_rmap(pfn, client, vpn)
+        self._set_rmap_run(
+            pregion * PAGES_PER_HUGE,
+            client,
+            vregion * PAGES_PER_HUGE,
+            PAGES_PER_HUGE,
+        )
         self._bloat.pop((client, vregion), None)
         self.ledger.charge("demotion", costs.INPLACE_PROMOTION_CYCLES)
         self._shootdown()
@@ -757,7 +738,7 @@ class MemoryLayer:
                     self._free_huge_mapping(client, vregion)
                     continue
                 self.demote(client, vregion)
-            if self.fast_kernels and start <= rstart and rend <= end:
+            if start <= rstart and rend <= end:
                 mappings = table.unmap_region_base(vregion)
                 if mappings:
                     self._drop_rmap_region(client, vregion, mappings)
@@ -794,29 +775,21 @@ class MemoryLayer:
             self._bloat.pop((client, vregion), None)
             self.memory.free_range(pregion * PAGES_PER_HUGE, PAGES_PER_HUGE)
             freed += PAGES_PER_HUGE
-        if self.fast_kernels and not table._watchers:
-            # The table is being discarded and nothing observes its events,
-            # so the per-page unmaps are pure bookkeeping on dead state;
-            # only the rmap drops, the refcount releases, and the buddy
-            # frees are observable.  Buddy coalescing is order-independent,
-            # so the batch free lands on the same allocator state.
-            refs = self._frame_refs
-            direct: list[int] = []
-            for vpn, pfn in table.base_mappings():
-                self._drop_rmap(pfn, client, vpn)
-                if pfn in refs:
-                    self.release_frame(pfn)
-                else:
-                    freed += 1
-                    direct.append(pfn)
-            self.memory.free_frames(direct)
-        else:
-            for vpn, pfn in list(table.base_mappings()):
-                table.unmap_base(vpn)
-                self._drop_rmap(pfn, client, vpn)
-                if pfn not in self._frame_refs:
-                    freed += 1
+        # The table is being discarded (callers detach its watchers
+        # first), so per-page unmaps would be pure bookkeeping on dead
+        # state; only the rmap drops, the refcount releases, and the buddy
+        # frees are observable.  Buddy coalescing is order-independent, so
+        # the batch free lands on the same allocator state.
+        refs = self._frame_refs
+        direct: list[int] = []
+        for vpn, pfn in table.base_mappings():
+            self._drop_rmap(pfn, client, vpn)
+            if pfn in refs:
                 self.release_frame(pfn)
+            else:
+                freed += 1
+                direct.append(pfn)
+        self.memory.free_frames(direct)
         # Let the policy forget any per-client placement state (offset
         # descriptors, contiguity lists); the huge range covers every vpn.
         self.policy.on_unmap(client, 0, 1 << 52)

@@ -1,11 +1,14 @@
 """Tests for the content-keyed result cache."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
+from repro.core.runtime import GeminiConfig
 from repro.exec import Cell, ResultCache, cell_key, code_version
+from repro.pressure.config import PressureConfig
 from repro.sim.config import SimulationConfig
+from repro.tlb.model import TLBConfig
 from repro.sim.results import RunResult
 
 
@@ -31,10 +34,27 @@ def test_key_is_deterministic_and_content_sensitive():
     assert cell_key(make_cell()) != cell_key(reseeded)
 
 
-def test_key_ignores_batch_faults():
-    """Batched and per-page runs are bit-identical, so they share entries."""
-    per_page = make_cell(config=replace(CONFIG, batch_faults=False))
-    assert cell_key(make_cell()) == cell_key(per_page)
+def test_key_covers_every_config_field():
+    """No config field is a pure execution strategy: each one reaches the
+    key (a new field must be added here, which makes that a decision)."""
+    changed = {
+        "host_mib": 256,
+        "nodes": 2,
+        "guest_mib": 32,
+        "epochs": 3,
+        "tlb": TLBConfig(entries=100),
+        "fragment_guest": 0.5,
+        "fragment_host": 0.5,
+        "noise_rate": 0.1,
+        "noise_free_fraction": 0.25,
+        "seed": 7,
+        "gemini": GeminiConfig(enable_bucket=False),
+        "pressure": PressureConfig(enabled=True),
+    }
+    assert set(changed) == {field.name for field in fields(SimulationConfig)}
+    base = cell_key(make_cell())
+    for name, value in changed.items():
+        assert cell_key(make_cell(config=replace(CONFIG, **{name: value}))) != base
 
 
 def test_key_distinguishes_primer():

@@ -9,8 +9,6 @@ again — guest unmap, EPT unmap, noise hooks, VM detach — either bumps
 the generation or bypasses/clears the cache, forcing a full replay.
 """
 
-import pytest
-
 from repro.hypervisor.platform import Platform
 from repro.mem.layout import PAGES_PER_HUGE
 from repro.policies.base import HugePagePolicy
@@ -105,27 +103,38 @@ def test_ept_unmap_bumps_generation_and_forces_replay():
 
 
 def test_host_demote_preserves_quiescence_and_correctness():
+    """Demotion keeps every translation alive, so the cached skip stays
+    valid — and matches a twin platform replaying page by page."""
     fast = make_platform(host_policy=HostHugePolicy())
     reference = make_platform(host_policy=HostHugePolicy())
-    reference.fast_kernels = False
     vms = {}
     for platform in (fast, reference):
-        vm, vma = touched_vm(platform)
-        platform.touch_range(vm, vma.start, vma.npages)
+        vm = platform.create_vm(8 * PAGES_PER_HUGE, HugePagePolicy())
+        vma = vm.mmap(2 * PAGES_PER_HUGE, "heap")
+        for _ in range(2):
+            if platform is fast:
+                platform.touch_range(vm, vma.start, vma.npages)
+            else:
+                for vpn in range(vma.start, vma.end):
+                    platform.touch(vm, vpn)
         gpregion = vm.translate(vma.start) // PAGES_PER_HUGE
         assert platform.ept(vm).is_huge(gpregion)
         platform.host.demote(vm.id, gpregion)
-        platform.touch_range(vm, vma.start, vma.npages)
-        vms[platform] = (vm, vma)
-    # Demotion keeps every translation alive, so the cached skip stays
-    # valid — and matches the reference platform's replay exactly.
-    for (vm_f, _), (vm_r, _) in [(vms[fast], vms[reference])]:
-        assert dict(vm_f.guest.ledger.sync) == dict(vm_r.guest.ledger.sync)
-        assert dict(fast.host.ledger.sync) == dict(reference.host.ledger.sync)
-        for vpn in range(vms[fast][1].start, vms[fast][1].start + 4):
-            gpn_f, gpn_r = vm_f.translate(vpn), vm_r.translate(vpn)
-            assert (gpn_f is None) == (gpn_r is None)
-            assert fast.host.translate(vm_f.id, gpn_f) is not None
+        if platform is fast:
+            recorded = platform._quiescent[vm.id][(vma.start, vma.npages)]
+            assert recorded == platform.index_of(vm).invalidation_gen
+            platform.touch_range(vm, vma.start, vma.npages)
+        else:
+            for vpn in range(vma.start, vma.end):
+                platform.touch(vm, vpn)
+        vms[platform] = vm
+    vm_f, vm_r = vms[fast], vms[reference]
+    assert dict(vm_f.guest.ledger.sync) == dict(vm_r.guest.ledger.sync)
+    assert dict(fast.host.ledger.sync) == dict(reference.host.ledger.sync)
+    assert sorted(fast.ept(vm_f).base_mappings()) == sorted(
+        reference.ept(vm_r).base_mappings()
+    )
+    assert fast.memory.free_regions() == reference.memory.free_regions()
 
 
 def test_noise_hook_without_horizon_bypasses_cache():
@@ -153,17 +162,3 @@ def test_detach_vm_clears_cache():
     assert vm.id in platform._quiescent
     platform.detach_vm(vm)
     assert vm.id not in platform._quiescent
-
-
-def test_fast_kernels_off_disables_cache():
-    platform = make_platform()
-    platform.fast_kernels = False
-    vm, vma = touched_vm(platform)
-    platform.touch_range(vm, vma.start, vma.npages)
-    assert platform._quiescent == {}
-    # Flipping off mid-flight clears any recorded fingerprints.
-    platform.fast_kernels = True
-    platform.touch_range(vm, vma.start, vma.npages)
-    assert platform._quiescent[vm.id]
-    platform.fast_kernels = False
-    assert platform._quiescent == {}

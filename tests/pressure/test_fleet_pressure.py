@@ -160,5 +160,3 @@ def test_pressure_config_is_not_an_execution_strategy():
     assert fleet_key(lru) != aware
     off = replace(PRESSURED, pressure=PressureConfig())
     assert fleet_key(off) != aware
-    # Execution-strategy toggles still do not change the key.
-    assert fleet_key(replace(PRESSURED, fast_kernels=False)) == aware

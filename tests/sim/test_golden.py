@@ -8,27 +8,12 @@ simulator became a driver over the fleet's host kernel; both engines must
 keep producing them.
 """
 
-import importlib.util
-import hashlib
-import json
-from pathlib import Path
-
 import pytest
 
 from repro.pressure import PressureConfig
 from repro.sim import Simulation, SimulationConfig
 from repro.workloads import make_workload
-
-_DIGEST = Path(__file__).resolve().parents[2] / "perfbench" / "digest.py"
-_spec = importlib.util.spec_from_file_location("_perfbench_digest", _DIGEST)
-_digest_module = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(_digest_module)
-canonical = _digest_module.canonical
-
-
-def _digest(results) -> str:
-    text = json.dumps(canonical(results), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(text.encode()).hexdigest()[:16]
+from tests.digests import digest
 
 
 def _reused_vm():
@@ -76,4 +61,4 @@ GOLDEN = {
 @pytest.mark.parametrize("case", sorted(GOLDEN))
 def test_single_host_results_match_golden_digest(case):
     run, expected = GOLDEN[case]
-    assert _digest(run()) == expected
+    assert digest(run()) == expected

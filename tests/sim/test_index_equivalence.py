@@ -1,82 +1,40 @@
-"""Incremental translation-state index vs reference rescans: bit-identical.
+"""Incremental translation-state index: bit-identical to full rescans.
 
-With ``incremental_index=True`` the per-epoch pipeline reads event-maintained
-summaries — O(1) ``promotable``, counter-backed alignment reports, the MHPS
-live set, cached region classifications, owner-count promoter steering and
-the fully-translated touch skip.  With ``False`` every one of those is the
-original enumerate-everything path.  Both must produce deep-equal per-epoch
-records on full simulations: noise on, fragmentation on, every policy
-family, plus the heavy-noise and reused-VM variants.
+The per-epoch pipeline reads event-maintained summaries — O(1)
+``promotable``, counter-backed alignment reports, the MHPS live set,
+cached region classifications, owner-count promoter steering and the
+fully-translated touch skip.  Full simulations — noise on, fragmentation
+on, every policy family, plus the heavy-noise and reused-VM variants —
+must reproduce the digest the enumerate-everything rescan path recorded
+(see :mod:`tests.sim.reference_runs`).  ``tests/oracle`` checks each
+summary against a recount after every operation.
 """
-
-from dataclasses import replace
 
 import pytest
 
-from repro.sim.config import SimulationConfig
-from repro.sim.engine import run_workload
-from repro.workloads.suite import make_workload
-
-BASE = SimulationConfig(
-    epochs=4,
-    guest_mib=128,
-    host_mib=384,
-    fragment_guest=0.7,
-    fragment_host=0.7,
-)
-
-#: One system per policy family: no coalescing, huge faults, utilization
-#: gating, contiguity-aware placement, and the full cross-layer runtime.
-SYSTEMS = ["Host-B-VM-B", "THP", "Ingens", "CA-paging", "Gemini"]
+from tests.digests import digest
+from tests.sim.reference_runs import REFERENCE, SYSTEMS, run_case
 
 
 @pytest.mark.parametrize("system", SYSTEMS)
 def test_index_equals_reference(system):
-    indexed = run_workload(
-        make_workload("Redis"), system, config=replace(BASE, incremental_index=True)
-    )
-    reference = run_workload(
-        make_workload("Redis"), system, config=replace(BASE, incremental_index=False)
-    )
-    assert indexed == reference
+    assert digest(run_case(system)) == REFERENCE[system]
 
 
 def test_index_equals_reference_with_heavy_noise():
     """A high noise rate interleaves noise allocations with the touch
     stream, exercising the translated-region skip against per-page noise
     delivery windows."""
-    config = replace(BASE, noise_rate=0.25, epochs=3)
-    indexed = run_workload(make_workload("Masstree"), "Gemini", config=config)
-    reference = run_workload(
-        make_workload("Masstree"), "Gemini",
-        config=replace(config, incremental_index=False),
-    )
-    assert indexed == reference
+    assert digest(run_case("heavy-noise")) == REFERENCE["heavy-noise"]
 
 
 def test_index_equals_reference_with_primer():
     """The reused-VM path (primer + unmap + EPT retention) exercises index
     invalidation across a full tenant turnover."""
-    config = replace(BASE, epochs=3)
-    indexed = run_workload(
-        make_workload("Redis"), "Gemini", config=config,
-        primer=make_workload("SVM"),
-    )
-    reference = run_workload(
-        make_workload("Redis"), "Gemini",
-        config=replace(config, incremental_index=False),
-        primer=make_workload("SVM"),
-    )
-    assert indexed == reference
+    assert digest(run_case("primer")) == REFERENCE["primer"]
 
 
 def test_index_orthogonal_to_batching():
-    """The two selectable fast paths compose: index on/off must also agree
-    when the per-page fault path replaces the batched one."""
-    config = replace(BASE, epochs=3, batch_faults=False)
-    indexed = run_workload(make_workload("Redis"), "Gemini", config=config)
-    reference = run_workload(
-        make_workload("Redis"), "Gemini",
-        config=replace(config, incremental_index=False),
-    )
-    assert indexed == reference
+    """The reference digest was recorded with the per-page fault path and
+    the rescans together; the batched, indexed run must match it."""
+    assert digest(run_case("gemini-3-epochs")) == REFERENCE["gemini-3-epochs"]
