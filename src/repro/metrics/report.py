@@ -20,17 +20,14 @@ __all__ = [
     "matrix_to_markdown",
     "series_to_csv",
     "format_cache_stats",
-    "format_bench_fleet",
     "fleet_summary_rows",
     "fleet_to_markdown",
     "format_fleet_summary",
-    "format_top_spans",
     "telemetry_series_to_csv",
     "format_critical_path",
     "format_histograms",
     "format_health_summary",
     "format_run_diff",
-    "format_bench_compare",
 ]
 
 #: RunResult properties exported by default.
@@ -164,41 +161,6 @@ def fleet_to_markdown(result, title: str = "") -> str:
     return "\n".join(lines)
 
 
-def format_bench_fleet(bench: dict) -> str:
-    """Markdown table of the fleet section of ``BENCH_perf.json``.
-
-    Rendered into the CI job summary by the perf-smoke workflow, so the
-    serial-versus-parallel trajectory is visible per run without digging
-    the JSON artifact out.  Returns an empty string when the report
-    carries no fleet section (old bench files).
-    """
-    fleet = bench.get("fleet")
-    if not fleet:
-        return ""
-    serial_s = fleet.get("serial_seconds", 0.0)
-    parallel_s = fleet.get("parallel_seconds", 0.0)
-    lines = [
-        f"**Fleet: {fleet.get('hosts', '?')} hosts x "
-        f"{fleet.get('epochs', '?')} epochs** "
-        f"({fleet.get('workers', '?')} workers, "
-        f"{fleet.get('cores', '?')} cores, "
-        f"mode: {fleet.get('parallel_mode', 'unknown')})",
-        "",
-        "| metric | serial | parallel |",
-        "|---|---|---|",
-        f"| wall clock | {serial_s:.2f} s | {parallel_s:.2f} s |",
-        f"| speedup | 1.00x "
-        f"| {fleet.get('speedup_parallel_vs_serial', 0.0):.2f}x |",
-        "",
-        "| controller IPC | bytes/epoch |",
-        "|---|---|",
-        f"| fused batches | {fleet.get('ipc_bytes_per_epoch_fused', 0):,.0f} |",
-        f"| peer-pipe payloads (total) "
-        f"| {fleet.get('ipc_peer_bytes_fused', 0):,} |",
-    ]
-    return "\n".join(lines)
-
-
 def format_fleet_summary(result) -> str:
     """Multi-line plain-text summary of a fleet run, for the CLI."""
     lines = [
@@ -274,29 +236,6 @@ def telemetry_series_to_csv(rows: list[Mapping[str, object]]) -> str:
     writer.writeheader()
     writer.writerows(rows)
     return buffer.getvalue()
-
-
-def format_top_spans(spans: Mapping[str, Mapping[str, float]], n: int = 5) -> str:
-    """Markdown table of the *n* spans with the largest self time.
-
-    *spans* is :meth:`repro.obs.Telemetry.span_stats` output (duck-typed
-    ``name -> {"count", "total_s", "self_s"}``).
-    """
-    if not spans:
-        return "no spans recorded"
-    ranked = sorted(
-        spans.items(), key=lambda item: (-item[1]["self_s"], item[0])
-    )[:n]
-    lines = [
-        "| span | count | total (ms) | self (ms) |",
-        "|---|---|---|---|",
-    ]
-    for name, stat in ranked:
-        lines.append(
-            f"| {name} | {int(stat['count'])} "
-            f"| {stat['total_s'] * 1e3:.2f} | {stat['self_s'] * 1e3:.2f} |"
-        )
-    return "\n".join(lines)
 
 
 def format_critical_path(report, n: int = 4) -> str:
@@ -408,27 +347,5 @@ def format_run_diff(diff) -> str:
     elif not diff.span_deltas:
         lines.append(
             f"timing: span self-times within +/-{diff.threshold * 100:.0f}%"
-        )
-    return "\n".join(lines)
-
-
-def format_bench_compare(comparison, threshold: float) -> str:
-    """Render a :class:`repro.obs.bench.BenchComparison` for the CLI."""
-    lines = [
-        f"bench compare: {comparison.checked} gated metrics vs median of "
-        f"{comparison.baseline_runs} recorded runs "
-        f"(threshold {threshold * 100:.0f}%)"
-    ]
-    if comparison.ok:
-        lines.append("no regressions beyond threshold")
-    for drift in comparison.regressions:
-        lines.append(
-            f"  REGRESSION {drift.name}: {drift.baseline:.4g} -> "
-            f"{drift.value:.4g} ({drift.drift:+.1%})"
-        )
-    for drift in comparison.improvements[:5]:
-        lines.append(
-            f"  improved {drift.name}: {drift.baseline:.4g} -> "
-            f"{drift.value:.4g} ({drift.drift:+.1%})"
         )
     return "\n".join(lines)

@@ -40,7 +40,7 @@ import os
 import pickle
 import zlib
 
-from repro.obs import analyze, bench, export, health
+from repro.obs import analyze, export, health
 from repro.obs.clock import Clock, ManualClock
 from repro.obs.events import DEFAULT_CAPACITY, Event, EventRing
 from repro.obs.telemetry import (
@@ -80,7 +80,6 @@ __all__ = [
     "merge_blob",
     "export",
     "analyze",
-    "bench",
     "health",
 ]
 

@@ -5,7 +5,6 @@ import csv
 import pytest
 
 from repro.metrics.report import (
-    format_bench_fleet,
     matrix_to_markdown,
     results_to_rows,
     series_to_csv,
@@ -66,31 +65,3 @@ def test_series_to_csv(small_results):
     lines = text.strip().splitlines()
     assert lines[0].startswith("epoch,throughput")
     assert len(lines) == 1 + len(result.epochs)
-
-
-def test_format_bench_fleet():
-    bench = {
-        "fleet": {
-            "hosts": 8,
-            "epochs": 12,
-            "workers": 4,
-            "cores": 4,
-            "parallel_mode": "parallel",
-            "serial_seconds": 10.9065,
-            "parallel_seconds": 4.21,
-            "speedup_parallel_vs_serial": 2.59,
-            "ipc_bytes_per_epoch_fused": 2537.0,
-            "ipc_peer_bytes_fused": 5227051,
-        }
-    }
-    table = format_bench_fleet(bench)
-    assert "8 hosts x 12 epochs" in table
-    assert "| fused batches | 2,537 |" in table
-    assert "legacy" not in table and "reduction" not in table
-    assert "5,227,051" in table
-    assert "2.59x" in table
-
-
-def test_format_bench_fleet_tolerates_old_reports():
-    assert format_bench_fleet({}) == ""
-    assert format_bench_fleet({"single_cell": {}}) == ""

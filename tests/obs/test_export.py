@@ -14,7 +14,7 @@ from repro.obs.export import (
     read_jsonl,
     timeseries_rows,
 )
-from repro.metrics.report import format_top_spans, telemetry_series_to_csv
+from repro.metrics.report import telemetry_series_to_csv
 
 
 @pytest.fixture(autouse=True)
@@ -131,20 +131,6 @@ def test_timeseries_csv_unions_columns():
     ]
     assert "fmfi" in header and "workload" in header
     assert len(lines) == 3
-
-
-def test_format_top_spans_ranks_by_self_time():
-    spans = {
-        "fleet.epoch": {"count": 4, "total_s": 1.0, "self_s": 0.1},
-        "host.step": {"count": 12, "total_s": 0.9, "self_s": 0.6},
-        "host.daemons": {"count": 12, "total_s": 0.3, "self_s": 0.3},
-    }
-    table = format_top_spans(spans, n=2)
-    lines = table.splitlines()
-    assert len(lines) == 4  # header + separator + 2 rows
-    assert lines[2].startswith("| host.step ")
-    assert lines[3].startswith("| host.daemons ")
-    assert format_top_spans({}) == "no spans recorded"
 
 
 def test_export_run_writes_all_artifacts(tmp_path):

@@ -2,6 +2,7 @@
 be identical however the fleet's hosts are spread across processes, and
 collecting it must never change simulation results."""
 
+import time
 from collections import defaultdict
 
 import pytest
@@ -74,11 +75,36 @@ def test_sampled_streams_match_across_layouts(force_pool, monkeypatch, spool):
     assert 0 < len(serial_events) < full_count
 
 
+def _timed(fn):
+    start = time.perf_counter()
+    result = fn()
+    return result, time.perf_counter() - start
+
+
 def test_telemetry_never_changes_results():
-    plain = ClusterSimulation(SMALL).run()
-    traced, events, _ = _run(SMALL, workers=1)
+    plain, plain_s = _timed(lambda: ClusterSimulation(SMALL).run())
+    telemetry = obs.enable(Telemetry())
+    traced, traced_s = _timed(lambda: ClusterSimulation(SMALL).run())
+    stats = telemetry.stats()
+    obs.disable()
+    obs.clear_context()
     assert traced == plain
-    assert events, "a traced run must produce events"
+    assert telemetry.events(), "a traced run must produce events"
+    # Tracing on has a stated cost: a fully traced run within 1.5x.
+    assert traced_s <= plain_s * 1.5
+    # Tracing off is nearly free: the calls this run made, priced at the
+    # disabled helpers' per-call cost, stay under 3% of the plain run.
+    loops = 20_000
+
+    def disabled_loop():
+        for _ in range(loops):
+            with obs.span("priced"):
+                pass
+            obs.emit("priced")
+
+    _, loop_s = _timed(disabled_loop)
+    calls = stats["events_emitted"] + 2 * stats["spans_closed"]
+    assert calls * loop_s / (2 * loops) < 0.03 * plain_s
 
 
 def test_span_stats_cover_both_sides(force_pool):
@@ -94,3 +120,7 @@ def test_span_stats_cover_both_sides(force_pool):
     assert stats["fleet.epoch"]["count"] == SMALL.epochs
     assert stats["host.step"]["count"] == SMALL.hosts * SMALL.epochs
     assert stats["host.step"]["total_s"] >= stats["host.daemons"]["total_s"]
+    # The child spans that attribute host and controller time.
+    for name in ("gemini.host.scan", "gemini.host.promote",
+                 "consolidate.score", "consolidate.evict"):
+        assert name in stats, f"missing span {name}"
