@@ -25,6 +25,10 @@ Commands
     Compare two exported trace directories: per-host event-stream
     divergence, counter deltas and attributed span self-time changes.
 
+``run``, ``experiment`` and ``trace`` take ``--workers N`` to fan
+experiment cells across processes; ``cluster`` and ``pressure`` step
+their hosts in-process and have no ``--workers``.
+
 ``run``, ``experiment`` and ``cluster`` accept ``--profile [N]`` (or the
 ``REPRO_PROFILE`` environment variable) to wrap the command in
 :mod:`cProfile` and print the top N functions by cumulative time.
@@ -99,6 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int, default=42)
     run.add_argument("--reused-vm", action="store_true",
                      help="prime the VM with a full SVM run first")
+    _add_workers_arg(run)
     _add_exec_args(run)
 
     experiment_choices = [
@@ -114,6 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--workload", "-w", action="append", dest="workloads",
         help="restrict to specific workloads; repeatable",
     )
+    _add_workers_arg(experiment)
     _add_exec_args(experiment)
 
     trace = sub.add_parser(
@@ -127,6 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--workload", "-w", action="append", dest="workloads",
         help="restrict to specific workloads; repeatable",
     )
+    _add_workers_arg(trace)
     _add_exec_args(trace)
 
     cluster = sub.add_parser(
@@ -197,11 +204,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _add_exec_args(command: argparse.ArgumentParser) -> None:
+def _add_workers_arg(command: argparse.ArgumentParser) -> None:
+    """``--workers`` for the commands that fan cells across a pool; the
+    fleet commands step their hosts in-process and take none."""
     command.add_argument(
         "--workers", type=int, default=None,
         help="simulation worker processes (default: $REPRO_WORKERS or 1)",
     )
+
+
+def _add_exec_args(command: argparse.ArgumentParser) -> None:
     command.add_argument(
         "--cache-dir", default=None,
         help="result cache directory (default: $REPRO_CACHE_DIR or no cache)",
@@ -233,7 +245,7 @@ def _apply_exec_args(args: argparse.Namespace) -> None:
     harness and forked workers read them (environment knobs)."""
     import os
 
-    if args.workers is not None:
+    if getattr(args, "workers", None) is not None:
         os.environ["REPRO_WORKERS"] = str(args.workers)
     if args.cache_dir is not None:
         os.environ["REPRO_CACHE_DIR"] = args.cache_dir
@@ -342,14 +354,10 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         print()
         print(interplay.format_ksm(interplay.run_ksm_interplay(epochs=epochs)))
     elif name == "fleet":
-        results = fleet_consolidation.run_fleet_consolidation(
-            epochs=epochs, workers=args.workers
-        )
+        results = fleet_consolidation.run_fleet_consolidation(epochs=epochs)
         print(fleet_consolidation.format_fleet_consolidation(results))
     elif name == "overcommit":
-        results = overcommit.run_overcommit(
-            epochs=epochs, workers=args.workers
-        )
+        results = overcommit.run_overcommit(epochs=epochs)
         print(overcommit.format_overcommit(results))
     elif name == "ablations":
         print(ablations.format_ablation(
@@ -401,7 +409,7 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         if args.cache_dir
         else ResultCache.from_env(expected=FleetResult)
     )
-    result = run_cluster(config, workers=args.workers, cache=cache)
+    result = run_cluster(config, cache=cache)
     print(format_fleet_summary(result))
     if cache is not None and cache.stats.requests:
         print()
@@ -431,7 +439,7 @@ def _cmd_pressure(args: argparse.Namespace) -> int:
         if args.cache_dir
         else ResultCache.from_env(expected=FleetResult)
     )
-    result = run_cluster(config, workers=args.workers, cache=cache)
+    result = run_cluster(config, cache=cache)
     print(format_fleet_summary(result))
     print(f"  overcommit ratio     {config.overcommit_ratio:.2f}x "
           f"(victims: {config.pressure.victim_policy})")

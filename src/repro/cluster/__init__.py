@@ -11,8 +11,8 @@ Entry points:
 
 * :class:`~repro.cluster.config.ClusterConfig` — all knobs of one run;
 * :func:`~repro.cluster.engine.run_cluster` /
-  :class:`~repro.cluster.engine.ClusterSimulation` — the engine (serial
-  or parallel per-host stepping, cached);
+  :class:`~repro.cluster.engine.ClusterSimulation` — the engine
+  (in-process per-host stepping, cached);
 * :mod:`~repro.cluster.placement` — pluggable placement policies;
 * :class:`~repro.cluster.migration.MigrationEngine` — pre-copy live
   migration with cost charging and invariant checking;

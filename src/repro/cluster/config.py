@@ -99,8 +99,7 @@ class ClusterConfig:
     #: Fleet epochs (every host steps once per epoch).
     epochs: int = 16
     #: Random seed — fixes the churn trace, placement decisions, noise
-    #: streams and migration schedule, identically in serial and parallel
-    #: execution.
+    #: streams and migration schedule.
     seed: int = 42
     #: Coalescing system every host runs (see ``repro list``).
     system: str = "Gemini"

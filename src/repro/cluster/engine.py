@@ -1,4 +1,4 @@
-"""The fleet engine: churn, placement, consolidation, parallel stepping.
+"""The fleet engine: churn, placement, consolidation, per-host stepping.
 
 One :class:`ClusterSimulation` drives N hosts epoch by epoch:
 
@@ -9,28 +9,15 @@ One :class:`ClusterSimulation` drives N hosts epoch by epoch:
    consolidation pass (overload shedding, underload draining) whose moves
    are live migrations through :func:`repro.cluster.migration.migrate_out`
    / :func:`~repro.cluster.migration.migrate_in`;
-3. every host steps one epoch.
+3. every host steps one epoch, in host order, and its records are
+   appended to the result right after its step.
 
-Hosts live on a :class:`~repro.exec.actors.ActorPool`: each host is owned
-by one worker for the whole run, so host graphs never travel (except a
-migrating tenant, which is the point of a migration).  Per-epoch traffic
-is one round-trip per worker: the controller decides the epoch's churn
-events up front — patching its own :class:`~repro.cluster.host.HostView`
-copies with the exact, locally computable effect of each arrival — and
-ships the event ops together with the step command as a single batch per
-worker.  Views come back as changed-field deltas, per-epoch records stay
-spooled inside the workers and drain as one compressed blob every
-:data:`SPOOL_EPOCHS`, and a migrating tenant moves over a direct
-worker-to-worker pipe.  As in OpenStack Neat's split, hosts run their
-daemons and pressure ladders locally while the controller sees compact
-views and moves only migration candidates.
-
-``workers=1`` runs the same protocol on an in-process pool, so serial and
-parallel runs of the same seed are bit-identical: the controller makes
-every decision from the views alone.  Fleets smaller than
-``REPRO_MIN_PARALLEL`` hosts never spawn a pool (mirroring
-``run_cells``), and a pool never has more workers than the machine has
-cores, so single-core machines never spawn one either.
+As in OpenStack Neat's split, hosts run their daemons and pressure
+ladders locally while the controller places and consolidates from
+compact :class:`~repro.cluster.host.HostView` summaries only, never from
+live host state.  Everything runs in one process: Gemini's mechanisms
+are per-host, and a controller deciding from views needs nothing more
+(Neat itself was evaluated in the in-process CloudSim).
 
 ``run_cluster`` wraps a run with the content-keyed result cache, exactly
 like ``run_cells`` does for single-host experiment cells.
@@ -40,129 +27,21 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
-from dataclasses import asdict, replace
+from dataclasses import asdict
 
 from repro import obs
 from repro.cluster.config import ClusterConfig
-from repro.cluster.host import Host, HostView, apply_view_delta
+from repro.cluster.host import Host, HostView
 from repro.cluster.migration import build_record, migrate_in, migrate_out
 from repro.cluster.placement import make_placement
-from repro.cluster.results import (
-    FleetResult,
-    HostEpochRecord,
-    TenantEpochRecord,
-    decode_records,
-    encode_records,
-)
+from repro.cluster.results import FleetResult
 from repro.cluster.trace import TraceEvent, build_trace
-from repro.exec.actors import ActorPool
 from repro.exec.cache import ResultCache, code_version
-from repro.exec.pool import min_parallel_threshold, resolve_workers
 from repro.mem.layout import MIB, PAGE_SIZE
 from repro.obs.health import watch_health
 from repro.workloads import make_workload
 
-__all__ = [
-    "MIN_PARALLEL_HOSTS",
-    "SPOOL_EPOCHS",
-    "ClusterSimulation",
-    "fleet_key",
-    "run_cluster",
-]
-
-#: Smallest fleet worth a process pool: below this the per-epoch IPC and
-#: pool startup dominate what a handful of hosts can save by stepping
-#: concurrently.  ``REPRO_MIN_PARALLEL`` overrides (same env var
-#: ``run_cells`` honours for cells).
-MIN_PARALLEL_HOSTS = 4
-
-#: Epochs a worker spools records for between bulk drains.  Sized so one
-#: drain (tens of records per host, compressed) dwarfs pipe latency while
-#: keeping worker memory bounded.
-SPOOL_EPOCHS = 8
-
-
-# ----------------------------------------------------------------------
-# Actor functions: run on the worker that owns the host.  Module-level so
-# the pool can pickle them by reference.  The ``_queue_*`` churn ops
-# return nothing (the controller already knows, or will learn from the
-# step's view delta), so queued ops add no reply traffic.
-# ----------------------------------------------------------------------
-
-
-def _queue_add_tenant(
-    host: Host, ordinal: int, guest_mib: int, workload_name: str, epoch: int
-) -> None:
-    # The worker instantiates the workload from its registry name — a
-    # deterministic factory — so arrivals ship a short string instead of
-    # a pickled workload model.
-    host.add_tenant(ordinal, guest_mib, make_workload(workload_name), epoch)
-
-
-def _queue_destroy_tenant(host: Host, ordinal: int) -> None:
-    host.destroy_tenant(ordinal)
-
-
-def _queue_resize_tenant(
-    host: Host, ordinal: int, grow: bool, fraction: float
-) -> None:
-    host.resize_tenant(ordinal, grow, fraction)
-
-
-def _act_refresh_view(host: Host) -> tuple:
-    return host.publish_view_payload()
-
-
-def _act_step(host: Host, epoch: int) -> tuple:
-    host.step_epoch(epoch)
-    return host.publish_view_payload()
-
-
-def _act_migrate_out(host: Host, ordinal: int, migration) -> tuple[tuple, tuple]:
-    """Source half for :meth:`ActorPool.transfer`: the tenant payload
-    goes straight to the destination worker; the controller gets only
-    the resident-set size, the copy schedule and the view."""
-    tenant, state, runs, schedule, view = migrate_out(host, ordinal, migration)
-    resident = sum(count for _, count in runs)
-    return (tenant, state, runs), (resident, schedule, view)
-
-
-def _act_migrate_in(host: Host, payload: tuple, migration) -> HostView:
-    tenant, state, runs = payload
-    return migrate_in(host, tenant, state, runs, migration)
-
-
-def _drain_worker_spools(states: dict[int, Host], remote: bool) -> tuple:
-    """Per-worker epilogue: drain every owned host's record spool into
-    ONE encoded blob — records compress far better pooled than per host
-    (shared field names and layouts), and one transfer per worker beats
-    one per host.
-
-    The worker's telemetry snapshot piggybacks on the same reply
-    (``(records, obs_blob)``), so cross-process telemetry costs zero
-    extra round-trips; the final epoch always drains, so nothing a
-    worker emitted is left behind.  In-process pools return ``None`` for
-    the blob: they already share the controller's registry, and
-    snapshotting it here would drain the controller's own telemetry into
-    itself.
-    """
-    host_records = []
-    tenant_records = []
-    for index in sorted(states):
-        drained_hosts, drained_tenants = states[index].drain_records()
-        host_records.extend(drained_hosts)
-        tenant_records.extend(drained_tenants)
-    records = encode_records(host_records, tenant_records, compress=remote)
-    return records, obs.snapshot_blob() if remote else None
-
-
-def _reset_worker_obs(states: dict[int, Host]) -> None:
-    """Post-scatter epilogue: forked workers inherit the controller's
-    telemetry (fork copies the module singleton); start them from a clean
-    registry so spooled snapshots carry only worker-side data."""
-    obs.reset()
-    obs.clear_context()
+__all__ = ["ClusterSimulation", "fleet_key", "run_cluster"]
 
 
 class ClusterSimulation:
@@ -184,21 +63,15 @@ class ClusterSimulation:
         for event in self.trace:
             self._events.setdefault(event.epoch, []).append(event)
         #: The controller's picture of each host; all placement and
-        #: consolidation decisions read this.  Updated by every view the
-        #: workers publish, plus the controller's own exact patches for
-        #: queued arrivals.
+        #: consolidation decisions read this.  Refreshed from
+        #: ``Host.summary()`` after every step, arrival and migration, and
+        #: after departures and resizes before anything reads it.
         self._views: list[HostView] = [host.summary() for host in self.hosts]
         #: ordinal -> index of the host currently running the VM.
         self._vm_host: dict[int, int] = {}
         #: ordinal -> guest size in pages (the commitment a migration
         #: must find room for).
         self._guest_pages: dict[int, int] = {}
-        #: Per-host committed pages and the committed==0 available-pages
-        #: baseline, so the controller can patch ``available_pages``
-        #: without a round-trip (the commitment model is controller
-        #: state, not host state).
-        self._committed = [0] * self.config.hosts
-        self._avail_base = [view.available_pages for view in self._views]
         #: Per-host consolidation scores (overloaded?, underloaded?,
         #: cheapest tenant), None = dirty.  Every view update goes through
         #: :meth:`_set_view`, which invalidates the score only when the
@@ -206,16 +79,6 @@ class ClusterSimulation:
         #: hosts touched by arrivals, departures, resizes, migrations or
         #: state-changing steps are re-scored.
         self._scores: list[tuple | None] = [None] * self.config.hosts
-        #: Spooled record chunks awaiting an ordered merge, as
-        #: ``(host_records, tenant_records)`` per drained host.
-        self._spooled: list[tuple] = []
-        #: Wire traffic per epoch (controller<->workers, both ways); all
-        #: zeros for in-process runs.  Diagnostics, deliberately kept off
-        #: the (serial==parallel comparable) FleetResult.
-        self.ipc_bytes_epochs: list[int] = []
-        #: Bulk bytes moved over direct worker-to-worker pipes
-        #: (migrations) — the data plane the controller never serialises.
-        self.ipc_peer_bytes = 0
         self.result = FleetResult(
             system=self.config.system,
             placement=self.config.placement,
@@ -224,77 +87,41 @@ class ClusterSimulation:
             seed=self.config.seed,
         )
 
-    @property
-    def ipc_bytes_per_epoch(self) -> float:
-        """Mean controller<->worker bytes per epoch of the last run."""
-        if not self.ipc_bytes_epochs:
-            return 0.0
-        return sum(self.ipc_bytes_epochs) / len(self.ipc_bytes_epochs)
-
     # ------------------------------------------------------------------
     # Run loop
     # ------------------------------------------------------------------
 
     def run(self, workers: int | None = None) -> FleetResult:
-        """Run all epochs; *workers* > 1 steps hosts on a process pool."""
-        config = self.config
-        pool = ActorPool(self._effective_workers(workers))
-        pool.scatter(self.hosts)
-        self._obs_reset_workers(pool)
-        self.ipc_bytes_epochs = []
-        try:
-            with watch_health(config, pool):
-                for epoch in range(config.epochs):
-                    bytes_before = pool.bytes_sent + pool.bytes_received
-                    obs.set_context(host=None, epoch=epoch)
-                    with obs.span("fleet.epoch"):
-                        self._epoch(pool, epoch)
-                    self.ipc_bytes_epochs.append(
-                        pool.bytes_sent + pool.bytes_received - bytes_before
-                    )
-                self.ipc_peer_bytes = pool.peer_bytes
-                # Bring the final host states home so callers can inspect
-                # them the same way after serial and parallel runs.
-                self.hosts = pool.gather()
-        finally:
-            pool.close()
+        """Run all epochs in this process.
+
+        *workers* is accepted as ``None`` or ``1`` only, so existing
+        ``run(workers=1)`` callers keep working; hosts never step in
+        another process.
+        """
+        if workers not in (None, 1):
+            raise ValueError(
+                f"fleets step in-process; workers must be None or 1, "
+                f"got {workers!r}"
+            )
+        with watch_health(self.config):
+            for epoch in range(self.config.epochs):
+                obs.set_context(host=None, epoch=epoch)
+                with obs.span("fleet.epoch"):
+                    self._epoch(epoch)
         return self.result
 
-    def _obs_reset_workers(self, pool: ActorPool) -> None:
-        """One post-scatter round-trip (telemetry on, real pool only)."""
-        if obs.enabled() and not pool.is_local:
-            pool.submit([], each_worker=(_reset_worker_obs, ()))
-            pool.drain()
-
-    def _effective_workers(self, workers: int | None) -> int:
-        workers = resolve_workers(workers)
-        if workers <= 1:
-            return workers
-        # Tiny fleets never spawn a pool at all: per-epoch IPC plus pool
-        # startup dominates what so few hosts can overlap (the fleet
-        # analogue of run_cells' MIN_PARALLEL_CELLS gate).
-        if len(self.hosts) < min_parallel_threshold(MIN_PARALLEL_HOSTS):
-            return 1
-        # Workers beyond the core count timeshare cores and pay the IPC
-        # on top; a single-core machine gets no pool at all.
-        return min(workers, os.cpu_count() or 1)
-
-    # ------------------------------------------------------------------
-    # One epoch: one round-trip per worker
-    # ------------------------------------------------------------------
-
-    def _epoch(self, pool: ActorPool, epoch: int) -> None:
+    def _epoch(self, epoch: int) -> None:
         consolidation = self.config.consolidation
         consolidating = (
             consolidation.every > 0
             and epoch > 0
             and epoch % consolidation.every == 0
         )
-        ops: list[tuple] = []
         arrivals: list[TraceEvent] = []
+        touched: set[int] = set()
         # Trace order within an epoch is departures, resizes, then
         # arrivals — so arrivals (the only events whose *decision* reads
-        # views) always come after the ops queued here.
+        # views) always come after the churn applied here.
         for event in self._events.get(epoch, ()):
             if event.kind == "arrive":
                 arrivals.append(event)
@@ -302,21 +129,18 @@ class ClusterSimulation:
             if event.ordinal not in self._vm_host:
                 continue
             index = self._vm_host[event.ordinal]
+            host = self.hosts[index]
+            touched.add(index)
             if event.kind == "depart":
-                ops.append((index, _queue_destroy_tenant, (event.ordinal,)))
-                self._committed[index] -= self._guest_pages.pop(event.ordinal)
-                del self._vm_host[event.ordinal]
                 # ``on`` rather than ``host``: the envelope's host slot
-                # is the *emitting* process (the controller, None here).
+                # is the *emitting* side (the controller, None here).
                 obs.emit_at(
                     "fleet.depart", None, epoch, ordinal=event.ordinal, on=index
                 )
+                host.destroy_tenant(event.ordinal)
+                del self._guest_pages[event.ordinal]
+                del self._vm_host[event.ordinal]
             else:
-                ops.append((
-                    index,
-                    _queue_resize_tenant,
-                    (event.ordinal, event.grow, event.delta_fraction),
-                ))
                 obs.emit_at(
                     "fleet.resize",
                     None,
@@ -325,58 +149,28 @@ class ClusterSimulation:
                     on=index,
                     grow=event.grow,
                 )
-        if ops and (arrivals or consolidating):
+                host.resize_tenant(
+                    event.ordinal, event.grow, event.delta_fraction
+                )
+        if arrivals or consolidating:
             # Departures and resizes change host state in ways only the
             # hosts know (freed frames, buddy contiguity), so the views
-            # placement and consolidation are about to read must be
-            # refreshed — one round-trip for all queued ops plus one
-            # view payload per touched host.
-            self._flush(pool, ops)
-            ops = []
+            # placement and consolidation are about to read are
+            # refreshed; otherwise the steps below refresh them.
+            for index in sorted(touched):
+                self._refresh(index)
         for event in arrivals:
-            self._queue_arrival(event, epoch, ops)
+            self._arrive(event, epoch)
         if consolidating:
-            if ops:
-                # Arrivals must land before migrations may move them;
-                # their view effect is already patched in, so no refresh
-                # is needed.
-                pool.submit(ops)
-                pool.drain()
-                ops = []
-            self._consolidate(pool, epoch)
-        drain_spool = (
-            (epoch + 1) % SPOOL_EPOCHS == 0
-            or epoch == self.config.epochs - 1
-        )
-        for index in range(len(self.hosts)):
-            ops.append((index, _act_step, (epoch,)))
-        pool.submit(
-            ops,
-            each_worker=(
-                (_drain_worker_spools, (not pool.is_local,))
-                if drain_spool
-                else None
-            ),
-        )
-        outputs = pool.drain()
-        for view_payload in outputs[len(ops) - len(self.hosts):]:
-            self._ingest_view(view_payload)
-        if drain_spool:
-            for records_payload, obs_blob in pool.extras:
-                self._spooled.append(decode_records(records_payload))
-                obs.merge_blob(obs_blob)
-            self._merge_spooled()
+            self._consolidate(epoch)
+        for host in self.hosts:
+            host.step_epoch(epoch)
+            host_records, tenant_records = host.drain_records()
+            self.result.host_epochs.extend(host_records)
+            self.result.tenant_epochs.extend(tenant_records)
+            self._refresh(host.index)
 
-    def _flush(self, pool: ActorPool, ops: list[tuple]) -> None:
-        """Run queued ops and refresh the views of every touched host."""
-        touched = sorted({index for index, _, _ in ops})
-        pool.submit(ops + [(index, _act_refresh_view, ()) for index in touched])
-        for payload in pool.drain()[len(ops):]:
-            self._ingest_view(payload)
-
-    def _queue_arrival(
-        self, event: TraceEvent, epoch: int, ops: list[tuple]
-    ) -> None:
+    def _arrive(self, event: TraceEvent, epoch: int) -> None:
         # Reserve the full guest size, not the workload footprint: guest
         # munmap never returns host frames (Section 6.3), so a VM's host
         # usage grows toward its guest size over its lifetime.  RAM is
@@ -403,35 +197,15 @@ class ClusterSimulation:
             guest_mib=event.guest_mib,
             on=index,
         )
-        ops.append((
-            index,
-            _queue_add_tenant,
-            (event.ordinal, event.guest_mib, event.workload, epoch),
-        ))
+        self.hosts[index].add_tenant(
+            event.ordinal, event.guest_mib, make_workload(event.workload), epoch
+        )
         self._vm_host[event.ordinal] = index
         self._guest_pages[event.ordinal] = guest_pages
-        self._committed[index] += guest_pages
-        # Patch the controller's view with the exact effect of the
-        # queued add, so later decisions in this epoch see what the host
-        # itself would publish: adding a tenant only shrinks committed
-        # capacity and registers an (empty) resident set — it allocates
-        # nothing.  The engine tests pin every patched view against
-        # ``Host.summary()``.
-        view = self._views[index]
-        self._set_view(replace(
-            view,
-            available_pages=self._avail_base[index]
-            - int(self._committed[index] * self.config.placement_headroom),
-            residents=tuple(sorted(view.residents + ((event.ordinal, 0),))),
-        ))
+        self._refresh(index)
 
-    def _ingest_view(self, payload: tuple) -> None:
-        if payload[0] == "full":
-            view = payload[1]
-        else:
-            _, index, mask, values = payload
-            view = apply_view_delta(self._views[index], mask, values)
-        self._set_view(view)
+    def _refresh(self, index: int) -> None:
+        self._set_view(self.hosts[index].summary())
 
     def _set_view(self, view: HostView) -> None:
         """Install a host view, invalidating its cached consolidation
@@ -441,36 +215,15 @@ class ClusterSimulation:
             self._scores[index] = None
         self._views[index] = view
 
-    def _merge_spooled(self) -> None:
-        """Append drained records in epoch-major, host-minor order.
-
-        Hosts drain in index order and keep their records in generation
-        order, so a stable sort by ``(epoch, host)`` yields the same
-        order whatever the spool period and however the hosts are spread
-        across workers: epoch-major, host-minor, generation order within.
-        """
-        if not self._spooled:
-            return
-        host_records: list[HostEpochRecord] = []
-        tenant_records: list[TenantEpochRecord] = []
-        for drained_hosts, drained_tenants in self._spooled:
-            host_records.extend(drained_hosts)
-            tenant_records.extend(drained_tenants)
-        self._spooled = []
-        host_records.sort(key=lambda record: (record.epoch, record.host))
-        tenant_records.sort(key=lambda record: (record.epoch, record.host))
-        self.result.host_epochs.extend(host_records)
-        self.result.tenant_epochs.extend(tenant_records)
-
     # ------------------------------------------------------------------
     # Consolidation (OpenStack-Neat-style: overload shedding, then
     # underload draining; every decision deterministic — hosts in index
     # order, tenants in ordinal order, budget-capped)
     # ------------------------------------------------------------------
 
-    def _consolidate(self, pool: ActorPool, epoch: int) -> None:
+    def _consolidate(self, epoch: int) -> None:
         with obs.span("fleet.consolidate"):
-            self._consolidate_body(pool, epoch)
+            self._consolidate_body(epoch)
 
     def _host_score(self, index: int) -> tuple:
         """(overloaded, underloaded, cheapest ordinal) of the host's
@@ -502,7 +255,7 @@ class ClusterSimulation:
         self._scores[index] = score
         return score
 
-    def _consolidate_body(self, pool: ActorPool, epoch: int) -> None:
+    def _consolidate_body(self, epoch: int) -> None:
         consolidation = self.config.consolidation
         budget = consolidation.max_migrations
         for index in range(len(self._views)):
@@ -512,7 +265,7 @@ class ClusterSimulation:
                 if not overloaded:
                     break
                 with obs.span("consolidate.evict"):
-                    moved = self._migrate(pool, cheapest, index, epoch, "overload")
+                    moved = self._migrate(cheapest, index, epoch, "overload")
                 if not moved:
                     break
                 budget -= 1
@@ -528,13 +281,13 @@ class ClusterSimulation:
                 if budget <= 0:
                     break
                 with obs.span("consolidate.evict"):
-                    moved = self._migrate(pool, ordinal, index, epoch, "underload")
+                    moved = self._migrate(ordinal, index, epoch, "underload")
                 if not moved:
                     break
                 budget -= 1
 
     def _migrate(
-        self, pool: ActorPool, ordinal: int, source: int, epoch: int, reason: str
+        self, ordinal: int, source: int, epoch: int, reason: str
     ) -> bool:
         needed = int(
             self._guest_pages[ordinal] * self.config.placement_headroom
@@ -544,16 +297,12 @@ class ClusterSimulation:
         )
         if destination is None:
             return False
-        # Data-plane migration: the tenant graph moves worker-to-worker;
-        # the controller sees two commands and two compact replies.
         migration = self.config.migration
-        (resident, schedule, src_view), dst_view = pool.transfer(
-            source,
-            destination,
-            _act_migrate_out,
-            (ordinal, migration),
-            _act_migrate_in,
-            (migration,),
+        tenant, state, runs, schedule, src_view = migrate_out(
+            self.hosts[source], ordinal, migration
+        )
+        dst_view = migrate_in(
+            self.hosts[destination], tenant, state, runs, migration
         )
         self._set_view(src_view)
         self._set_view(dst_view)
@@ -564,7 +313,7 @@ class ClusterSimulation:
             destination=destination,
             reason=reason,
             schedule=schedule,
-            resident_pages=resident,
+            runs=runs,
         )
         self.result.migrations.append(record)
         obs.emit_at(
@@ -579,9 +328,6 @@ class ClusterSimulation:
             rounds=record.rounds,
             copied=record.copied_pages,
         )
-        guest_pages = self._guest_pages[ordinal]
-        self._committed[source] -= guest_pages
-        self._committed[destination] += guest_pages
         self._vm_host[ordinal] = destination
         return True
 
@@ -607,14 +353,11 @@ def fleet_key(config: ClusterConfig) -> str:
 
 def run_cluster(
     config: ClusterConfig | None = None,
-    workers: int | None = None,
     cache: ResultCache | None = None,
 ) -> FleetResult:
     """Run (or load) one fleet simulation.
 
-    When *cache* is None, ``REPRO_CACHE_DIR`` (if set) provides one; the
-    worker count only affects wall-clock time, never the result, so it is
-    not part of the cache key.
+    When *cache* is None, ``REPRO_CACHE_DIR`` (if set) provides one.
     """
     config = config or ClusterConfig()
     if cache is None:
@@ -624,7 +367,7 @@ def run_cluster(
         cached = cache.get(key)
         if cached is not None:
             return cached
-    result = ClusterSimulation(config).run(workers=workers)
+    result = ClusterSimulation(config).run()
     if cache is not None:
         cache.put(key, result)
     return result

@@ -9,17 +9,16 @@ classified against the guest table and the EPT, the TLB model is
 evaluated and the epoch's costs are split between tenants, and then the
 daemons run (policy scans, the Gemini runtime, the pressure ladder).
 
-A :class:`Host` is fully self-contained and picklable: the cluster engine
-can ship it to a worker process, step it there, and take the mutated copy
-back — with results identical to stepping in place, because every source
-of randomness a host touches (its noise stream, its tenants' workload
-RNGs) lives inside the host and `random.Random` pickles its exact state.
+A :class:`Host` is self-contained: every source of randomness it
+touches (its noise stream, its tenants' workload RNGs) lives inside the
+host, so a host's results depend only on its own inputs, never on how
+many other hosts step beside it or in what order.
 """
 
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
 from repro import obs
@@ -47,7 +46,6 @@ __all__ = [
     "Host",
     "HostView",
     "Tenant",
-    "apply_view_delta",
     "backfill_host",
     "build_segments",
     "charge_dedup_cow",
@@ -194,9 +192,8 @@ class HostView:
     """Snapshot of the scheduler-relevant state of one host.
 
     The cluster controller makes every placement and consolidation
-    decision from these views — never from live host objects — so the
-    decisions are identical whether the hosts live in-process or on
-    pool workers (where only views travel, not hosts).
+    decision from these views, never from live host objects — OpenStack
+    Neat's split: hosts act locally, the controller sees summaries.
     """
 
     index: int
@@ -226,29 +223,6 @@ class HostView:
     @property
     def utilization(self) -> float:
         return 1.0 - self.free_pages / self.total_pages
-
-
-#: Fields a view delta may carry (``index`` identifies, never changes).
-#: Deltas address them by position — a bitmask and a value tuple — so no
-#: field-name strings ever cross the pipe.
-_VIEW_FIELDS = tuple(
-    f.name for f in fields(HostView) if f.name != "index"
-)
-
-
-def apply_view_delta(base: HostView, mask: int, values: tuple) -> HostView:
-    """Rebuild a full view from *base* plus a changed-fields delta.
-
-    Bit *i* of *mask* says field ``_VIEW_FIELDS[i]`` changed; *values*
-    holds the new values of exactly the set bits, in field order.
-    """
-    changed = {}
-    position = 0
-    for bit, name in enumerate(_VIEW_FIELDS):
-        if mask >> bit & 1:
-            changed[name] = values[position]
-            position += 1
-    return replace(base, **changed)
 
 
 @dataclass
@@ -338,14 +312,10 @@ class Host:
         # it advances at delta time, so work done by the between-epoch
         # daemons is charged to the *next* epoch.
         self._host_snapshot = self.platform.host.ledger.snapshot()
-        # Records accumulate here (also while stepping inside a worker
-        # process) and are drained by the engine every ``SPOOL_EPOCHS``.
+        # Records accumulate here until the driver drains them after
+        # each step.
         self._tenant_records: list[TenantEpochRecord] = []
         self._host_records: list[HostEpochRecord] = []
-        #: The last view shipped to the controller — the shared baseline
-        #: view deltas are encoded against.  Lives on the host so it
-        #: travels with it to and from worker processes.
-        self._view_baseline: HostView | None = None
         #: Called with each tenant right after its epoch record is made,
         #: before the daemons run.  The single-host driver samples the
         #: mapping counts its records carry here; fleets leave it unset.
@@ -419,40 +389,6 @@ class Host:
                 else 0
             ),
         )
-
-    def publish_view(self) -> HostView:
-        """A full view for the controller, recorded as the new baseline.
-
-        Every view that crosses to the controller goes through here or
-        :meth:`publish_view_payload`, so the host-side baseline always
-        matches the last view the controller decoded — the invariant the
-        delta encoding rests on.
-        """
-        view = self.summary()
-        self._view_baseline = view
-        return view
-
-    def publish_view_payload(self) -> tuple:
-        """Encode the current view for the wire.
-
-        ``("full", view)`` on the first publish,
-        ``("d", index, mask, values)`` afterwards — only fields that
-        changed since the last published view travel, addressed by a
-        position bitmask rather than name strings, and the controller
-        rebuilds the full view with :func:`apply_view_delta`.
-        """
-        base = self._view_baseline
-        view = self.publish_view()
-        if base is None:
-            return ("full", view)
-        mask = 0
-        values = []
-        for bit, name in enumerate(_VIEW_FIELDS):
-            value = getattr(view, name)
-            if value != getattr(base, name):
-                mask |= 1 << bit
-                values.append(value)
-        return ("d", view.index, mask, tuple(values))
 
     def drain_records(self) -> tuple[list[HostEpochRecord], list[TenantEpochRecord]]:
         host_records, self._host_records = self._host_records, []

@@ -19,9 +19,9 @@ state — a freshly-racked destination restores well-aligned backing, a
 fragmented one leaves the VM splintered regardless of policy.
 
 The two halves are module-level functions (:func:`migrate_out`,
-:func:`migrate_in`) so the cluster engine can run each on the worker that
-owns the respective host; :class:`MigrationEngine` composes them for
-direct in-process use and keeps the records.
+:func:`migrate_in`) that the cluster engine calls in turn, refreshing its
+views of both hosts from what they return; :class:`MigrationEngine`
+composes them for direct use and keeps the records.
 """
 
 from __future__ import annotations
@@ -135,9 +135,7 @@ def migrate_out(
             raise MigrationInvariantError(
                 f"host{host.index}: vm{vm.id}'s source frames were not freed"
             )
-    # Migrations are rare: ship a full view, which also re-baselines the
-    # host's delta encoding for the next fused step.
-    return tenant, state, runs, schedule, host.publish_view()
+    return tenant, state, runs, schedule, host.summary()
 
 
 def migrate_in(
@@ -168,7 +166,7 @@ def migrate_in(
         layer.fault_range(vm.id, start, count)
     if config.check_invariants:
         _check_destination(host, tenant, runs)
-    return host.publish_view()
+    return host.summary()
 
 
 def _check_destination(
@@ -239,17 +237,11 @@ def build_record(
     destination: int,
     reason: str,
     schedule: tuple[int, int, int],
-    runs: list[tuple[int, int]] | None = None,
-    resident_pages: int | None = None,
+    runs: list[tuple[int, int]],
 ) -> MigrationRecord:
-    """Assemble the accounting record for one migration.
-
-    The resident-set size comes from *runs* or directly from
-    *resident_pages* — the fused cluster protocol ships only the sum, so
-    the (possibly long) run list never crosses back to the controller.
-    """
-    if resident_pages is None:
-        resident_pages = sum(count for _, count in runs or [])
+    """Assemble the accounting record for one migration of the resident
+    set *runs*."""
+    resident_pages = sum(count for _, count in runs)
     rounds, copied, downtime = schedule
     return MigrationRecord(
         epoch=epoch,

@@ -11,8 +11,7 @@ string-keyed registry idiom as :mod:`repro.policies.registry` — and are
 instantiated via :func:`make_placement`.  Every policy is deterministic
 (ties break toward the lowest host index) and decides from
 :class:`~repro.cluster.host.HostView` snapshots, never from live host
-objects, so the controller makes identical decisions whether hosts live
-in-process or on pool workers.
+objects.
 
 Feasibility is commitment-based: guests fault their memory lazily, so a
 host that *looks* empty (high ``free_pages``) may be fully spoken for;
@@ -82,7 +81,7 @@ class PlacementPolicy:
             return None
         chosen = self.choose(candidates, pages_needed).index
         # Placement always runs on the controller; explicit attribution
-        # keeps the stream identical across serial and parallel runs.
+        # keeps it off whichever host stepped last.
         obs.emit_at(
             "placement.select",
             None,

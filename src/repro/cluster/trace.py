@@ -5,7 +5,7 @@ expands a :class:`~repro.cluster.config.ChurnConfig` into a flat list of
 :class:`TraceEvent`, using one private ``random.Random(seed)`` stream with
 a fixed draw order.  Because the trace is data — not decisions made while
 hosts step — the same seed yields the same arrivals, departures and
-resizes whether the hosts later step serially or on a process pool.
+resizes whatever the hosts later do with them.
 
 VM ordinals are fleet-unique arrival indices and double as the VM ids on
 whichever host a tenant currently lives (hosts never mint ids of their

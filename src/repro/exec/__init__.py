@@ -11,19 +11,17 @@ benchmark suite share:
   the ``workers`` argument, the ``REPRO_WORKERS`` environment variable, or
   a safe serial default) with identical results in any mode;
 * :class:`ResultCache` — a content-keyed on-disk cache so repeated runs of
-  the same cell under the same code version are loaded, not recomputed;
-* :class:`ActorPool` — a sticky-state pool for stateful parallelism (the
-  cluster engine's hosts live on their workers across epochs; only
-  function calls and small results travel).
+  the same cell under the same code version are loaded, not recomputed.
+
+Fleets do not use a pool: :class:`~repro.cluster.engine.ClusterSimulation`
+steps its hosts in-process.
 """
 
-from repro.exec.actors import ActorPool
 from repro.exec.cache import CacheStats, ResultCache, cell_key, code_version
 from repro.exec.cells import Cell, execute_cell
 from repro.exec.pool import resolve_workers, run_cells
 
 __all__ = [
-    "ActorPool",
     "Cell",
     "execute_cell",
     "run_cells",

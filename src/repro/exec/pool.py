@@ -27,7 +27,6 @@ from repro.sim.results import RunResult
 
 __all__ = [
     "MIN_PARALLEL_CELLS",
-    "min_parallel_threshold",
     "resolve_workers",
     "run_cells",
 ]
@@ -41,21 +40,14 @@ __all__ = [
 MIN_PARALLEL_CELLS = 8
 
 
-def min_parallel_threshold(default: int = MIN_PARALLEL_CELLS) -> int:
-    """Smallest batch worth a pool: ``REPRO_MIN_PARALLEL`` env > *default*.
-
-    Shared by ``run_cells`` (cells per batch) and the cluster engine
-    (hosts per fleet), so one env var tunes both serial-fallback gates.
-    """
+def _min_parallel() -> int:
+    """Smallest batch worth a pool: ``REPRO_MIN_PARALLEL`` env, else
+    :data:`MIN_PARALLEL_CELLS`."""
     raw = os.environ.get("REPRO_MIN_PARALLEL", "").strip()
     try:
         return int(raw)
     except ValueError:
-        return default
-
-
-def _min_parallel() -> int:
-    return min_parallel_threshold(MIN_PARALLEL_CELLS)
+        return MIN_PARALLEL_CELLS
 
 
 def resolve_workers(workers: int | None = None) -> int:

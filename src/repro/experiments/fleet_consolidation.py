@@ -58,7 +58,6 @@ def run_fleet_consolidation(
     config: ClusterConfig = FLEET_CONFIG,
     epochs: int | None = None,
     hosts: int | None = None,
-    workers: int | None = None,
 ) -> dict[str, FleetResult]:
     """Run the same churned fleet once per placement policy."""
     placements = placements or DEFAULT_PLACEMENTS
@@ -67,9 +66,7 @@ def run_fleet_consolidation(
     if hosts is not None:
         config = replace(config, hosts=hosts)
     return {
-        placement: run_cluster(
-            replace(config, placement=placement), workers=workers
-        )
+        placement: run_cluster(replace(config, placement=placement))
         for placement in placements
     }
 

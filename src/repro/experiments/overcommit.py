@@ -73,7 +73,6 @@ def run_overcommit(
     config: ClusterConfig = OVERCOMMIT_CONFIG,
     epochs: int | None = None,
     aged_fragment: float = 0.4,
-    workers: int | None = None,
 ) -> dict[str, FleetResult]:
     """Run the same overcommitted churn trace per victim policy, on
     clean and on aged (fragmentation-gradient) hosts."""
@@ -88,9 +87,7 @@ def run_overcommit(
                 fragment_host=fragment,
                 pressure=replace(config.pressure, victim_policy=policy),
             )
-            results[f"{policy} ({label})"] = run_cluster(
-                cell, workers=workers
-            )
+            results[f"{policy} ({label})"] = run_cluster(cell)
     return results
 
 

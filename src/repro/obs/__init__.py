@@ -1,4 +1,4 @@
-"""Unified telemetry: spans, structured events, cross-process metrics.
+"""Unified telemetry: spans, structured events and metrics.
 
 ``repro.obs`` is the observability layer the rest of the stack emits
 into.  It is **off by default** and designed to cost nearly nothing
@@ -20,11 +20,10 @@ Instrumented code does not guard its own emissions::
         ...
     obs.emit("booking.book", region=pregion)
 
-Cross-process: ActorPool workers inherit the enabled singleton via
-fork; the cluster engine resets worker telemetry after scatter, workers
-accumulate locally, and their pickled snapshots ride the fused-epoch
-spool back to the controller, which merges them into one fleet-wide
-view (see docs/OBSERVABILITY.md).
+Fleets step every host in the controller's process, so one registry
+sees the whole fleet: each event carries the host it is attributed to,
+and per-host sequence numbers keep every host's stream deterministic
+(see docs/OBSERVABILITY.md).
 
 Environment variables (read by :func:`configure_from_env`):
 
@@ -37,15 +36,12 @@ Environment variables (read by :func:`configure_from_env`):
 from __future__ import annotations
 
 import os
-import pickle
-import zlib
 
 from repro.obs import analyze, export, health
 from repro.obs.clock import Clock, ManualClock
 from repro.obs.events import DEFAULT_CAPACITY, Event, EventRing
 from repro.obs.telemetry import (
     Telemetry,
-    TelemetrySnapshot,
     clear_context,
     current_context,
     set_context,
@@ -57,13 +53,11 @@ __all__ = [
     "Event",
     "EventRing",
     "Telemetry",
-    "TelemetrySnapshot",
     "DEFAULT_CAPACITY",
     "enabled",
     "enable",
     "disable",
     "get",
-    "reset",
     "span",
     "emit",
     "emit_at",
@@ -76,8 +70,6 @@ __all__ = [
     "configure_from_env",
     "trace_out_dir",
     "set_trace_out_dir",
-    "snapshot_blob",
-    "merge_blob",
     "export",
     "analyze",
     "health",
@@ -145,24 +137,6 @@ def disable() -> None:
     """Drop the registry; subsequent emissions become no-ops."""
     global _active
     _active = None
-
-
-def reset() -> Telemetry | None:
-    """Replace the active registry with a fresh one (same shape).
-
-    Used in forked workers to discard telemetry inherited from the
-    controller so spooled snapshots carry only worker-side data.
-    No-op when disabled.
-    """
-    global _active
-    if _active is None:
-        return None
-    _active = Telemetry(
-        capacity=_active.ring.capacity,
-        sample=1.0 / _active.ring.stride,
-        clock=_active.clock,
-    )
-    return _active
 
 
 def span(name: str):
@@ -234,28 +208,3 @@ def configure_from_env(environ=os.environ) -> Telemetry | None:
     if _active is None:
         return enable(capacity=capacity, sample=sample)
     return _active
-
-
-def snapshot_blob(reset: bool = True) -> bytes | None:
-    """Pickle+compress the active registry's snapshot; None if disabled.
-
-    This is the payload workers append to the fused-epoch spool drain;
-    the controller feeds it to :func:`merge_blob`.
-    """
-    active = _active
-    if active is None:
-        return None
-    return zlib.compress(
-        pickle.dumps(active.snapshot(reset=reset),
-                     protocol=pickle.HIGHEST_PROTOCOL)
-    )
-
-
-def merge_blob(blob: bytes | None) -> None:
-    """Merge a worker's :func:`snapshot_blob` payload; tolerant of None."""
-    if blob is None:
-        return
-    active = _active
-    if active is None:
-        return
-    active.merge(pickle.loads(zlib.decompress(blob)))

@@ -7,10 +7,10 @@ Two consumers of the telemetry a run leaves behind:
   each ``fleet.epoch``/``sim.epoch`` tree down its dominant child and
   roll the walks up into a "where did the time go" report.
 * **Differential run analysis** — :func:`diff_runs` compares two runs
-  (live :class:`Telemetry`, detached :class:`TelemetrySnapshot` or an
-  ``export_run`` directory) on three axes: per-host event-stream
-  divergence keyed on :meth:`Event.identity` (deterministic — two runs
-  of the same seed must match exactly), counter deltas (also
+  (live :class:`Telemetry` or an ``export_run`` directory) on three
+  axes: per-host event-stream divergence keyed on
+  :meth:`Event.identity` (deterministic — two runs of the same seed
+  must match exactly), counter deltas (also
   deterministic) and span self-time deltas (wall-clock, noisy).  Span
   deltas are *attributed*: each significant one is paired with the
   event-kind count change most likely driving it.
@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 from repro.obs.events import Event
 from repro.obs.export import read_jsonl
-from repro.obs.telemetry import Telemetry, TelemetrySnapshot
+from repro.obs.telemetry import Telemetry
 
 __all__ = [
     "SpanNode",
@@ -75,8 +75,7 @@ def build_span_trees(trace: list[tuple]) -> list[SpanNode]:
     Spans are appended when they *close*, so every child precedes its
     parent and a single pass with a pending-per-depth map reattaches
     them: a span at depth ``d`` adopts everything pending at ``d + 1``.
-    Orphans (parents lost to trace truncation, or worker-process roots
-    that closed at depth 0 in their own process) surface as roots.
+    Orphans (parents lost to trace truncation) surface as roots.
     """
     pending: dict[int, list[SpanNode]] = {}
     roots: list[SpanNode] = []
@@ -124,15 +123,13 @@ def critical_paths(
 ) -> CriticalPathReport:
     """Extract per-epoch dominant-child critical paths from a trace.
 
-    *source* is a :class:`Telemetry`, a :class:`TelemetrySnapshot` or a
-    raw span-trace list.  Each root span (one per epoch) is walked down
-    its largest child; identical walks are aggregated and ranked by the
-    time they account for.
+    *source* is a :class:`Telemetry` or a raw span-trace list.  Each
+    root span (one per epoch) is walked down its largest child;
+    identical walks are aggregated and ranked by the time they account
+    for.
     """
     if isinstance(source, Telemetry):
         trace = source.span_trace()
-    elif isinstance(source, TelemetrySnapshot):
-        trace = list(source.span_trace)
     else:
         trace = list(source)
     trees = build_span_trees(trace)
@@ -212,25 +209,6 @@ class RunData:
         )
 
     @classmethod
-    def from_snapshot(
-        cls, snapshot: TelemetrySnapshot, label: str
-    ) -> "RunData":
-        spans = {
-            name: {
-                "count": stat[0],
-                "total_s": stat[1],
-                "self_s": max(0.0, stat[1] - stat[2]),
-            }
-            for name, stat in snapshot.span_stats.items()
-        }
-        return cls(
-            label=label,
-            spans=spans,
-            counters=dict(snapshot.counters),
-            events=list(snapshot.events),
-        )
-
-    @classmethod
     def from_export_dir(
         cls, path: str | pathlib.Path, label: str | None = None
     ) -> "RunData":
@@ -269,8 +247,6 @@ class RunData:
             return source
         if isinstance(source, Telemetry):
             return cls.from_telemetry(source, label)
-        if isinstance(source, TelemetrySnapshot):
-            return cls.from_snapshot(source, label)
         return cls.from_export_dir(source)
 
 
@@ -409,10 +385,9 @@ def _kind_counts(events: list[Event]) -> dict:
 def diff_runs(a, b, threshold: float = 0.1) -> RunDiff:
     """Compare two runs; see the module docstring for the three axes.
 
-    *a* and *b* may each be a :class:`Telemetry`, a
-    :class:`TelemetrySnapshot`, a :class:`RunData` or an ``export_run``
-    directory path.  *threshold* is the relative span self-time change
-    below which timing deltas are considered noise.
+    *a* and *b* may each be a :class:`Telemetry`, a :class:`RunData` or
+    an ``export_run`` directory path.  *threshold* is the relative span
+    self-time change below which timing deltas are considered noise.
     """
     run_a = RunData.coerce(a, "A")
     run_b = RunData.coerce(b, "B")

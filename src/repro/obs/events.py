@@ -3,15 +3,15 @@
 An :class:`Event` is one typed decision record — a booking, a promotion
 round, a placement choice, a migration — stamped with its emitting host,
 epoch, a per-host sequence number and a wall reading.  The sequence
-number is the *deterministic* ordering: two runs of the same fleet
-produce identical per-host sequences regardless of how hosts are spread
-across worker processes, so :meth:`Event.identity` (which drops the wall
-reading) is the comparison key for serial-versus-parallel equivalence.
+number is the *deterministic* ordering: two runs of the same fleet and
+seed produce identical per-host sequences, so :meth:`Event.identity`
+(which drops the wall reading) is the comparison key for run-to-run
+equivalence (``repro diff --strict``).
 
 The :class:`EventRing` bounds memory with a drop-oldest deque and
 applies deterministic stride sampling per ``(kind, host)`` stream —
 no randomness, so sampling keeps the *same* subset of events in every
-process layout.
+run of the same seed.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Mapping
 
 __all__ = ["Event", "EventRing", "DEFAULT_CAPACITY"]
 
@@ -51,7 +51,7 @@ class Event:
     def identity(self) -> tuple:
         """Comparison key that ignores wall time.
 
-        Serial and parallel runs of the same fleet agree on this key
+        Two runs of the same fleet and seed agree on this key
         event-for-event (per host); only the wall reading differs.
         """
         return (self.host, self.epoch, self.seq, self.kind, self.fields)
@@ -106,9 +106,9 @@ class EventRing:
 
     ``sample`` is the target keep rate in ``(0, 1]``; it is converted to
     an integer stride (``sample=0.25`` keeps every 4th event).  The
-    stride counter is keyed by ``(kind, host)`` so the kept subset is
-    identical whether a host's events were emitted from the controller
-    process (serial) or its own worker (parallel).
+    stride counter is keyed by ``(kind, host)``, so each host stream is
+    thinned on its own and the kept subset of one host never depends on
+    what the other hosts emitted.
     """
 
     __slots__ = ("capacity", "stride", "emitted", "sampled", "dropped",
@@ -143,23 +143,6 @@ class EventRing:
         if len(self._events) == self.capacity:
             self.dropped += 1
         self._events.append(event)
-
-    def extend(self, events: Iterable[Event]) -> None:
-        """Merge already-sampled events (worker snapshots) verbatim.
-
-        Does not advance the local ``sampled`` counter — the donor's
-        counters are folded in separately by ``Telemetry.merge``.
-        """
-        for event in events:
-            if len(self._events) == self.capacity:
-                self.dropped += 1
-            self._events.append(event)
-
-    def drain(self) -> list[Event]:
-        """Return and clear buffered events; counters are preserved."""
-        events = list(self._events)
-        self._events.clear()
-        return events
 
     def events(self) -> list[Event]:
         return list(self._events)

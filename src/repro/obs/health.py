@@ -1,20 +1,19 @@
 """Online fleet-health watchdogs and the postmortem flight recorder.
 
 The :class:`HealthMonitor` consumes the deterministic event stream as it
-is buffered — local emissions *and* merged worker snapshots — and runs a
-set of pluggable :class:`WatchdogRule`\\ s over it.  Rule state is kept
-strictly per host stream, and findings are stamped with the monitor's
-*own* per-host sequence counters, so the resulting ``health.*`` events
-are bit-identical (by :meth:`Event.identity`) across serial, parallel
-and fused-epoch layouts: every layout delivers each host's events in
-the same per-host order, and health emission never perturbs the
-underlying streams' sequence numbers.
+is buffered and runs a set of pluggable :class:`WatchdogRule`\\ s over
+it.  Rule state is kept strictly per host stream, and findings are
+stamped with the monitor's *own* per-host sequence counters, so the
+resulting ``health.*`` events are bit-identical (by
+:meth:`Event.identity`) across same-seed runs, and health emission never
+perturbs the underlying streams' sequence numbers.
 
-The :class:`FlightRecorder` turns a watchdog breach or a worker
-exception into a postmortem bundle on disk: the last-N buffered events,
-the open-span stack, the run configuration and the volume counters —
-enough to reconstruct what the fleet was doing when things went wrong
-without re-running the simulation.
+The :class:`FlightRecorder` turns a watchdog breach or an exception
+escaping the run into a postmortem bundle on disk: the last-N buffered
+events, the open-span stack with the ``(host, epoch)`` context, the run
+configuration and the volume counters — enough to reconstruct what the
+fleet was doing when things went wrong without re-running the
+simulation.
 """
 
 from __future__ import annotations
@@ -49,8 +48,8 @@ class WatchdogRule:
     Subclasses declare the event ``kinds`` they consume and implement
     :meth:`observe`, returning a fields dict to raise a finding or None
     to stay quiet.  The monitor instantiates one rule object per host
-    stream, so instance state never mixes hosts — that is what keeps
-    findings identical across process layouts.
+    stream, so instance state never mixes hosts — a finding on one host
+    never depends on what the other hosts emitted.
     """
 
     #: ``health.<name>`` is the kind of the emitted finding.
@@ -247,9 +246,7 @@ class HealthMonitor:
     tracing is enabled).  Findings are emitted as ``health.<rule>``
     events appended to the same ring, with a *separate* per-host
     sequence space so the underlying streams keep their deterministic
-    numbering.  Workers never carry a monitor — ``obs.reset()`` after
-    scatter drops it — so rules run exactly once, at the controller,
-    over each host's stream in its canonical order.
+    numbering.
     """
 
     def __init__(self, rules: tuple | None = None) -> None:
@@ -310,7 +307,7 @@ def summarize_health(events) -> dict[str, dict]:
 
 
 class FlightRecorder:
-    """Dumps a postmortem bundle when a watchdog fires or a worker dies.
+    """Dumps a postmortem bundle when a watchdog fires or a run fails.
 
     Each bundle is a directory under *out_dir*::
 
@@ -383,15 +380,15 @@ class FlightRecorder:
 
 
 @contextmanager
-def watch_health(config, pool=None):
+def watch_health(config):
     """Watch one engine run with the health monitor, when telemetry is on.
 
     Installs a :class:`HealthMonitor` unless one is already attached, and
     removes it again when the run ends.  With a trace directory
     configured, a :class:`FlightRecorder` dumps a bundle on watchdog
-    breaches, on an exception escaping the run and, through *pool*'s
-    ``on_failure`` hook, on worker exceptions.  Only the controller
-    process calls this, so each host's stream is audited exactly once.
+    breaches and on an exception escaping the run; the bundle's
+    ``open_spans.json`` carries the ``(host, epoch)`` context the failure
+    happened in.
     """
     telemetry = obs.get()
     if telemetry is None:
@@ -407,10 +404,6 @@ def watch_health(config, pool=None):
         telemetry.monitor.on_breach = (
             lambda finding: recorder.breach(finding, config=config)
         )
-        if pool is not None:
-            pool.on_failure = lambda error: recorder.dump(
-                "worker-exception", config=config, error=error
-            )
     try:
         yield
     except BaseException as error:

@@ -7,26 +7,19 @@ facade owns the singleton).  It collects four kinds of data:
 * **spans** — nested timed sections with self-time attribution,
 * **events** — the structured decision stream (:mod:`repro.obs.events`),
 * **context** — the ``(host, epoch)`` pair the emitting code is working
-  on, tracked at module level so it is available even when telemetry is
-  disabled (worker exception notes use it for attribution).
-
-Everything is cheaply serialisable: :meth:`Telemetry.snapshot` detaches
-the collected data as a :class:`TelemetrySnapshot` which workers pickle
-into the fused-epoch spool and the controller folds back in with
-:meth:`Telemetry.merge`.
+  on, tracked at module level whether or not a registry is collecting
+  (postmortem bundles read it for attribution).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 from repro.obs.clock import Clock
 from repro.obs.events import DEFAULT_CAPACITY, Event, EventRing
 
 __all__ = [
     "Telemetry",
-    "TelemetrySnapshot",
     "set_context",
     "current_context",
     "clear_context",
@@ -36,7 +29,7 @@ __all__ = [
 _KEEP = object()
 
 # The (host, epoch) the current process is working on.  Module-level —
-# not per-Telemetry — so exception attribution works with telemetry off.
+# not per-Telemetry — so it outlives any one registry.
 _context: list[int | None] = [None, None]
 
 
@@ -59,25 +52,6 @@ def current_context() -> tuple[int | None, int | None]:
 
 def clear_context() -> None:
     set_context(host=None, epoch=None)
-
-
-@dataclass
-class TelemetrySnapshot:
-    """Detached, picklable telemetry state for cross-process merging."""
-
-    counters: dict[str, float] = field(default_factory=dict)
-    gauges: dict[str, float] = field(default_factory=dict)
-    #: name -> (count, total, min, max, samples, stride)
-    histograms: dict[str, tuple] = field(default_factory=dict)
-    #: name -> [count, total_s, child_s]
-    span_stats: dict[str, list] = field(default_factory=dict)
-    #: (name, host, start_s, duration_s, depth) tuples for trace export.
-    span_trace: list[tuple] = field(default_factory=list)
-    events: list[Event] = field(default_factory=list)
-    emitted: int = 0
-    sampled: int = 0
-    dropped: int = 0
-    span_dropped: int = 0
 
 
 class _SpanHandle:
@@ -125,13 +99,12 @@ class _SpanHandle:
 class Telemetry:
     """The per-process telemetry registry.
 
-    Not thread-safe by design: the simulator is single-threaded per
-    process, and the cross-*process* path goes through snapshots.
+    Not thread-safe by design: the simulator is single-threaded.
     """
 
     #: Bound on per-histogram quantile samples.  When a reservoir fills
     #: up, every other sample is discarded and the keep-stride doubles —
-    #: a deterministic decimation, so serial and merged runs agree.
+    #: a deterministic decimation, so same-seed runs agree.
     RESERVOIR_CAP = 256
 
     def __init__(
@@ -153,12 +126,11 @@ class Telemetry:
         self._span_trace: list[tuple] = []
         self.spans_dropped = 0
         self.ring = EventRing(capacity, sample)
-        #: Per-host event sequence counters; survive snapshot resets so
-        #: spool drains continue each host's sequence where it left off.
+        #: Per-host event sequence counters.
         self._seqs: dict[int | None, int] = {}
         #: Optional online consumer of the event stream (a
         #: :class:`repro.obs.health.HealthMonitor`).  Fed every buffered
-        #: event — local emissions and merged worker snapshots alike.
+        #: event.
         self.monitor = None
 
     # -- scalar metrics ------------------------------------------------
@@ -282,96 +254,6 @@ class Telemetry:
 
     def events(self) -> list[Event]:
         return self.ring.events()
-
-    # -- snapshots -----------------------------------------------------
-
-    def snapshot(self, reset: bool = True) -> TelemetrySnapshot:
-        """Detach collected data for spooling to the controller.
-
-        With ``reset`` (the default) the metrics, spans and buffered
-        events are cleared; sequence and sampling counters are *kept* so
-        subsequent emissions continue their deterministic streams.
-        """
-        snapshot = TelemetrySnapshot(
-            counters=dict(self.counters),
-            gauges=dict(self.gauges),
-            histograms={
-                name: (*stat[:4], tuple(stat[4]), stat[5])
-                for name, stat in self._histograms.items()
-            },
-            span_stats={
-                name: list(stat) for name, stat in self._span_stats.items()
-            },
-            span_trace=list(self._span_trace),
-            events=self.ring.drain() if reset else self.ring.events(),
-            emitted=self.ring.emitted,
-            sampled=self.ring.sampled,
-            dropped=self.ring.dropped,
-            span_dropped=self.spans_dropped,
-        )
-        if reset:
-            self.counters.clear()
-            self.gauges.clear()
-            self._histograms.clear()
-            self._span_stats.clear()
-            self._span_trace.clear()
-            self.spans_dropped = 0
-            # Volume counters are per-interval so repeated spool merges
-            # add cleanly; the sampling stride counters are kept.
-            self.ring.emitted = 0
-            self.ring.sampled = 0
-            self.ring.dropped = 0
-        return snapshot
-
-    def merge(self, snapshot: TelemetrySnapshot) -> None:
-        """Fold a worker's snapshot into this (controller) registry."""
-        for name, value in snapshot.counters.items():
-            self.count(name, value)
-        self.gauges.update(snapshot.gauges)
-        for name, stat in snapshot.histograms.items():
-            mine = self._histograms.get(name)
-            if mine is None:
-                self._histograms[name] = [
-                    *stat[:4], list(stat[4]), stat[5]
-                ]
-            else:
-                mine[0] += stat[0]
-                mine[1] += stat[1]
-                mine[2] = min(mine[2], stat[2])
-                mine[3] = max(mine[3], stat[3])
-                mine[4].extend(stat[4])
-                mine[5] = max(mine[5], stat[5])
-                while len(mine[4]) > self.RESERVOIR_CAP:
-                    del mine[4][1::2]
-                    mine[5] *= 2
-        for name, stat in snapshot.span_stats.items():
-            mine = self._span_stats.get(name)
-            if mine is None:
-                self._span_stats[name] = list(stat)
-            else:
-                mine[0] += stat[0]
-                mine[1] += stat[1]
-                mine[2] += stat[2]
-        room = self.span_capacity - len(self._span_trace)
-        kept = max(0, min(room, len(snapshot.span_trace)))
-        if kept:
-            self._span_trace.extend(snapshot.span_trace[:kept])
-        self.spans_dropped += snapshot.span_dropped
-        self.spans_dropped += len(snapshot.span_trace) - kept
-        self.ring.emitted += snapshot.emitted
-        self.ring.sampled += snapshot.sampled
-        self.ring.dropped += snapshot.dropped
-        if self.monitor is None:
-            self.ring.extend(snapshot.events)
-        else:
-            # Interleave watchdog feeding with the append so any
-            # ``health.*`` finding lands right after its trigger — the
-            # same relative position it gets when the trigger is emitted
-            # locally (serial runs), keeping per-host streams identical
-            # across process layouts.
-            for event in snapshot.events:
-                self.ring.extend((event,))
-                self.monitor.feed(self, event)
 
     def stats(self) -> dict[str, object]:
         """Volume accounting for reports and overhead checks."""

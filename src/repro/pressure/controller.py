@@ -27,8 +27,8 @@ engines with the dirty guest-physical set of every workload.
 Determinism: every VM iteration is in sorted vm-id order, the swap
 device's latency RNG is seeded per host, and all telemetry *events* are
 emitted from :meth:`PressureController.run` only — which executes inside
-``step_epoch`` where the observability context (host, epoch) is correct
-under both serial and parallel execution.  The emergency-reclaim path
+``step_epoch`` where the observability context (host, epoch) is set to
+the stepping host.  The emergency-reclaim path
 (invoked from inside a failing host allocation) emits counters only.
 """
 

@@ -51,8 +51,7 @@ class NoiseAgent:
         self._host_held: list[int] = []
         #: Current "unmovable pageblock" per arena, keyed by a stable arena
         #: tag (``("host",)`` or ``("guest", vm_id)`` — NOT ``id(memory)``,
-        #: which changes across pickling and would break serial/parallel
-        #: determinism for cluster host stepping): like Linux's
+        #: which changes across pickling and from run to run): like Linux's
         #: migrate-type grouping, kernel-style allocations are clustered
         #: into dedicated 2 MiB blocks instead of splintering movable
         #: regions, so noise destroys few huge regions.

@@ -1,5 +1,5 @@
-"""Tests for the cluster engine: end-to-end runs, serial/parallel
-determinism, placement outcomes and the cached entry point."""
+"""Tests for the cluster engine: end-to-end runs, the views decisions
+read, placement outcomes and the cached entry point."""
 
 from dataclasses import replace
 
@@ -12,7 +12,6 @@ from repro.cluster import (
     fleet_key,
     run_cluster,
 )
-from repro.cluster import engine
 from repro.cluster.config import ConsolidationConfig, MigrationConfig
 from repro.exec import ResultCache
 
@@ -56,125 +55,38 @@ def test_zero_hosts_rejected():
         ClusterSimulation(ClusterConfig(hosts=0))
 
 
-def test_serial_and_parallel_runs_are_identical(force_pool):
-    # The determinism contract: same seed, same results, any worker count.
-    serial = ClusterSimulation(SMALL).run(workers=1)
-    sim = ClusterSimulation(SMALL)
-    parallel = sim.run(workers=2)
-    if sim.ipc_bytes_per_epoch == 0:  # pragma: no cover
-        pytest.skip("sandbox cannot fork")
-    assert serial == parallel
-    # Deltas shipped over the wire rebuild every view exactly.
-    for index, host in enumerate(sim.hosts):
-        assert sim._views[index] == host.summary()
+def test_run_rejects_worker_counts_above_one():
+    # Hosts always step in-process; the keyword survives only for
+    # callers that pass ``workers=1``.
+    with pytest.raises(ValueError, match="in-process"):
+        ClusterSimulation(SMALL).run(workers=2)
 
 
-def test_queued_arrival_views_match_summaries(monkeypatch):
-    # The controller patches its view for each queued arrival instead of
-    # asking the host; once the add op runs, the host must publish
-    # exactly the patched view.  SMALL's initial VMs all arrive in epoch
-    # 0, several per host.
-    sim = ClusterSimulation(SMALL)
-    patched = {}
-    checked = []
-    queue_arrival = sim._queue_arrival
-    add_tenant = engine._queue_add_tenant
+def test_placement_views_match_summaries(monkeypatch):
+    # Every placement decision — arrivals and consolidation targets —
+    # must read views equal to what the hosts themselves report.  The
+    # initial VMs all arrive in epoch 0, several per host, and this
+    # fleet's consolidation passes migrate.
+    config = replace(SMALL, hosts=4, epochs=8)
+    sim = ClusterSimulation(config)
+    select = sim.placement.select
+    decisions = []
 
-    def record_patch(event, epoch, ops):
-        queue_arrival(event, epoch, ops)
-        if event.ordinal in sim._vm_host:
-            patched[event.ordinal] = sim._views[sim._vm_host[event.ordinal]]
+    def checked_select(views, *args, **kwargs):
+        assert list(views) == [host.summary() for host in sim.hosts]
+        decisions.append(kwargs.get("exclude"))
+        return select(views, *args, **kwargs)
 
-    def add_and_check(host, ordinal, *args):
-        add_tenant(host, ordinal, *args)
-        checked.append((patched[ordinal], host.summary()))
-
-    monkeypatch.setattr(sim, "_queue_arrival", record_patch)
-    monkeypatch.setattr(engine, "_queue_add_tenant", add_and_check)
-    sim.run(workers=1)
+    monkeypatch.setattr(sim.placement, "select", checked_select)
+    result = sim.run()
     first_epoch = [e for e in sim.trace if e.kind == "arrive" and e.epoch == 0]
-    assert len(first_epoch) > SMALL.hosts
-    assert len(checked) == len(patched) >= len(first_epoch)
-    for view, summary in checked:
-        assert view == summary
-    # Deltas rebuild every view exactly, to the end of the run.
+    assert len(first_epoch) > config.hosts
+    assert len(decisions) >= len(first_epoch)
+    assert result.migration_count > 0
+    assert any(exclude is not None for exclude in decisions)
+    # The views stay exact to the end of the run.
     for index, host in enumerate(sim.hosts):
         assert sim._views[index] == host.summary()
-
-
-@pytest.mark.parametrize("spool", [1, 3, 100])
-@pytest.mark.parametrize("serial_spooled", [True, False])
-def test_parallel_identical_across_spool_and_delta_knobs(
-    force_pool, monkeypatch, spool, serial_spooled
-):
-    # Spool drains must splice records back in run order at every drain
-    # boundary: every epoch, mid-run, and only after the last epoch.  The
-    # in-process pool spools too, so the serial leg runs either under the
-    # same period or under the default one.  View deltas are always on
-    # and must rebuild every view exactly.
-    if serial_spooled:
-        monkeypatch.setattr(engine, "SPOOL_EPOCHS", spool)
-    serial = ClusterSimulation(SMALL).run(workers=1)
-    monkeypatch.setattr(engine, "SPOOL_EPOCHS", spool)
-    sim = ClusterSimulation(SMALL)
-    parallel = sim.run(workers=2)
-    if sim.ipc_bytes_per_epoch == 0:  # pragma: no cover
-        pytest.skip("sandbox cannot fork")
-    assert serial == parallel
-    for index, host in enumerate(sim.hosts):
-        assert sim._views[index] == host.summary()
-
-
-def test_tiny_fleet_never_spawns_a_pool(monkeypatch):
-    # Three hosts sit under the parallel threshold: even an explicit
-    # worker request degrades to the in-process pool.
-    monkeypatch.delenv("REPRO_MIN_PARALLEL", raising=False)
-    monkeypatch.setattr(engine.os, "cpu_count", lambda: 2)
-    sim = ClusterSimulation(SMALL)
-    assert sim._effective_workers(4) == 1
-    monkeypatch.setenv("REPRO_MIN_PARALLEL", "1")
-    # No more workers than cores: two cores cap a request for four.
-    assert sim._effective_workers(4) == 2
-    # A single core has nothing to overlap the workers with.
-    monkeypatch.setattr(engine.os, "cpu_count", lambda: 1)
-    assert sim._effective_workers(4) == 1
-
-
-def test_serial_run_reports_zero_ipc():
-    sim = ClusterSimulation(SMALL)
-    sim.run(workers=1)
-    assert sim.ipc_bytes_per_epoch == 0.0
-    assert sim.ipc_peer_bytes == 0
-
-
-def test_parallel_run_counts_ipc_bytes(force_pool):
-    sim = ClusterSimulation(SMALL)
-    sim.run(workers=2)
-    if sim.ipc_bytes_per_epoch == 0:  # pragma: no cover
-        pytest.skip("sandbox cannot fork")
-    assert len(sim.ipc_bytes_epochs) == SMALL.epochs
-    assert all(epoch_bytes > 0 for epoch_bytes in sim.ipc_bytes_epochs)
-    # One batched round-trip per worker per epoch plus spool drains
-    # (~1.1 kB/epoch mean here); bulk payloads travel on peer pipes.
-    assert sim.ipc_bytes_per_epoch <= 4096
-
-
-def test_view_deltas_reconstruct_summaries():
-    from repro.cluster.host import Host, apply_view_delta
-    from repro.workloads import make_workload
-
-    host = Host(0, replace(SMALL, hosts=1), noise_seed=SMALL.seed)
-    view = host.publish_view()
-    assert view == host.summary()
-    host.add_tenant(0, 64, make_workload("Redis"), epoch=0)
-    kind, *payload = host.publish_view_payload()
-    assert kind == "d"
-    index, mask, values = payload
-    assert index == host.index and mask != 0
-    assert apply_view_delta(view, mask, values) == host.summary()
-    # A quiet host publishes an empty delta, not a full view.
-    kind2, _, mask2, values2 = host.publish_view_payload()
-    assert kind2 == "d" and mask2 == 0 and values2 == ()
 
 
 def test_consolidation_migrates_and_records():

@@ -1,9 +1,8 @@
 """Health watchdog tests: each rule in isolation, sequence-space
-separation, layout equivalence of ``health.*`` streams over a real
-pressured fleet, and the flight recorder's postmortem bundles."""
+separation, ``health.*`` findings over a real pressured fleet, and the
+flight recorder's postmortem bundles."""
 
 import json
-from collections import defaultdict
 from dataclasses import replace
 
 import pytest
@@ -11,7 +10,6 @@ import pytest
 from repro import obs
 from repro.cluster import ClusterConfig, ClusterSimulation
 from repro.cluster.config import ChurnConfig, MigrationConfig
-from repro.exec.actors import ActorPool
 from repro.metrics.report import format_health_summary
 from repro.obs import Clock, Telemetry
 from repro.obs.health import (
@@ -166,23 +164,8 @@ def test_monitor_counts_findings():
     )
 
 
-def test_monitor_survives_snapshot_merge_roundtrip():
-    # Worker events arriving via merge() drive the controller monitor
-    # exactly as local emissions would.
-    worker = Telemetry(clock=Clock(wall=lambda: 0.0))
-    for seq in range(3):
-        worker.emit_at("fleet.place_fail", None, 0, ordinal=seq, needed=10)
-    controller = _telemetry((PlacementFailureBurstRule,))
-    controller.merge(worker.snapshot())
-    findings = _health(controller)
-    assert len(findings) == 1
-    # The finding sits right after its trigger in the merged stream.
-    kinds = [e.kind for e in controller.events()]
-    assert kinds == ["fleet.place_fail"] * 3 + ["health.placement_failures"]
-
-
 # ----------------------------------------------------------------------
-# Layout equivalence over a real pressured fleet
+# Findings over a real pressured fleet
 # ----------------------------------------------------------------------
 
 #: Overcommitted enough that swap traffic (and with it at least one
@@ -208,39 +191,19 @@ PRESSURED = ClusterConfig(
 )
 
 
-def _run_traced(config, workers):
+def test_health_streams_identical_across_layouts():
+    # The pressured fleet must actually trip a watchdog, or no test
+    # drives the monitor with a real ladder's event stream.
     obs.enable(Telemetry(sample=1.0, clock=Clock(wall=lambda: 0.0)))
-    sim = ClusterSimulation(config)
-    sim.run(workers=workers)
-    events = obs.get().events()
-    obs.disable()
-    obs.clear_context()
-    return events, sim.ipc_bytes_per_epoch > 0
-
-
-def _health_by_host(events):
-    streams = defaultdict(list)
-    for event in events:
-        if event.kind.startswith("health."):
-            streams[event.host].append(event.identity())
-    return dict(streams)
-
-
-def test_health_streams_identical_across_layouts(force_pool):
-    serial_events, _ = _run_traced(PRESSURED, workers=1)
-    # The pressured fleet must actually trip a watchdog, or this test
-    # pins nothing.
-    serial_health = _health_by_host(serial_events)
-    assert serial_health
-    parallel_events, forked = _run_traced(PRESSURED, workers=2)
-    if not forked:  # pragma: no cover
-        pytest.skip("sandbox cannot fork")
-    assert _health_by_host(parallel_events) == serial_health
+    ClusterSimulation(PRESSURED).run()
+    assert any(
+        event.kind.startswith("health.") for event in obs.get().events()
+    )
 
 
 def test_monitor_detached_after_run():
     obs.enable(Telemetry(sample=1.0, clock=Clock(wall=lambda: 0.0)))
-    ClusterSimulation(replace(PRESSURED, epochs=2)).run(workers=1)
+    ClusterSimulation(replace(PRESSURED, epochs=2)).run()
     assert obs.get().monitor is None
 
 
@@ -281,43 +244,27 @@ def test_flight_recorder_limits_and_dedupes(tmp_path):
     assert recorder.dump("overflow") is None  # limit reached
 
 
-def test_actor_pool_on_failure_hook():
-    pool = ActorPool(workers=2)
-    pool.scatter([0, 1, 2, 3])
-    if pool.is_local:  # pragma: no cover
-        pytest.skip("sandbox cannot fork")
-    seen = []
-    pool.on_failure = seen.append
-    pool.submit([(0, _raise_marker, ())])
-    with pytest.raises(ValueError, match="marker"):
-        pool.drain()
-    assert len(seen) == 1 and isinstance(seen[0], ValueError)
-    pool.close()
-
-
-def _raise_marker(state):
-    raise ValueError("marker")
-
-
-def test_worker_exception_dumps_postmortem(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_MIN_PARALLEL", "1")
+def test_escaping_exception_dumps_postmortem(tmp_path):
     obs.enable(Telemetry(sample=1.0, clock=Clock(wall=lambda: 0.0)))
     obs.set_trace_out_dir(str(tmp_path))
     config = replace(PRESSURED, epochs=10)
     sim = ClusterSimulation(config)
     original = sim._epoch
 
-    def sabotage(pool, epoch):
+    def sabotage(epoch):
         if epoch == 2:
             raise RuntimeError("epoch sabotage")
-        return original(pool, epoch)
+        return original(epoch)
 
     sim._epoch = sabotage
     with pytest.raises(RuntimeError, match="epoch sabotage"):
-        sim.run(workers=1)
+        sim.run()
     obs.set_trace_out_dir(None)
     bundles = sorted(tmp_path.glob("postmortem-*"))
     assert bundles
-    report = json.loads((bundles[0] / "report.json").read_text())
+    report = json.loads((bundles[-1] / "report.json").read_text())
     assert report["reason"] == "exception"
     assert "epoch sabotage" in report["error"]
+    # The bundle keeps the context the failure happened in.
+    spans = json.loads((bundles[-1] / "open_spans.json").read_text())
+    assert spans["context"]["epoch"] == 2

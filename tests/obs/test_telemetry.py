@@ -1,7 +1,5 @@
 """Unit tests for the telemetry registry: spans and self-time, the
-deterministic event ring, snapshots/merging, and the obs facade."""
-
-import pickle
+deterministic event ring, context tracking and the obs facade."""
 
 import pytest
 
@@ -132,75 +130,6 @@ def test_ring_rejects_bad_parameters():
 
 
 # ----------------------------------------------------------------------
-# Snapshots and merging (the cross-process path)
-# ----------------------------------------------------------------------
-
-
-def test_snapshot_reset_preserves_sequences_and_stride():
-    telemetry = Telemetry(sample=0.5, clock=Clock(wall=lambda: 0.0))
-    for _ in range(3):
-        telemetry.emit_at("tick", 0, 0)
-    first = telemetry.snapshot(reset=True)
-    assert len(telemetry.ring) == 0
-    assert telemetry.ring.emitted == 0  # volume counters are per-interval
-    for _ in range(3):
-        telemetry.emit_at("tick", 0, 1)
-    second = telemetry.snapshot(reset=True)
-    # Sequences continue across the reset (4, 5, 6) and the stride
-    # counter does too: kept seqs are 1, 3 then 5.
-    assert [e.seq for e in first.events] == [1, 3]
-    assert [e.seq for e in second.events] == [5]
-
-
-def test_merge_folds_metrics_spans_and_events():
-    controller = Telemetry(clock=ManualClock(step=1.0))
-    controller.count("epochs")
-    controller.observe("latency", 5.0)
-    controller.emit_at("ctl", None, 0)
-
-    worker = Telemetry(clock=ManualClock(step=1.0))
-    worker.count("epochs", 2.0)
-    worker.observe("latency", 1.0)
-    worker.observe("latency", 9.0)
-    with worker.span("host.step"):
-        pass
-    worker.emit_at("wrk", 3, 0)
-
-    controller.merge(worker.snapshot())
-    assert controller.counters["epochs"] == 3.0
-    assert controller.histogram("latency") == (3, 15.0, 1.0, 9.0)
-    assert controller.span_stats()["host.step"]["count"] == 1
-    assert {e.kind for e in controller.events()} == {"ctl", "wrk"}
-    assert controller.ring.emitted == 2
-    assert controller.ring.sampled == 2
-
-
-def test_repeated_snapshot_merge_counts_each_event_once():
-    # The spool drain runs every few epochs: volume counters must be
-    # per-interval on the worker so the controller's totals are exact.
-    controller = Telemetry(clock=Clock(wall=lambda: 0.0))
-    worker = Telemetry(clock=Clock(wall=lambda: 0.0))
-    for round_index in range(3):
-        worker.emit_at("tick", 0, round_index)
-        controller.merge(worker.snapshot(reset=True))
-    assert controller.ring.emitted == 3
-    assert controller.ring.sampled == 3
-    assert [e.seq for e in controller.events()] == [1, 2, 3]
-
-
-def test_snapshot_pickles():
-    telemetry = Telemetry(clock=ManualClock())
-    telemetry.count("x")
-    with telemetry.span("s"):
-        pass
-    telemetry.emit_at("k", 0, 0, value=3)
-    snapshot = telemetry.snapshot()
-    clone = pickle.loads(pickle.dumps(snapshot))
-    assert clone.counters == {"x": 1.0}
-    assert clone.events == snapshot.events
-
-
-# ----------------------------------------------------------------------
 # Context tracking
 # ----------------------------------------------------------------------
 
@@ -217,7 +146,8 @@ def test_context_partial_updates():
 
 
 def test_context_tracked_even_when_disabled():
-    # Worker exception notes read the context with telemetry off.
+    # The context lives outside any registry, so it is tracked with
+    # telemetry off.
     assert not obs.enabled()
     obs.set_context(host=7, epoch=3)
     assert obs.current_context() == (7, 3)
@@ -236,31 +166,16 @@ def test_disabled_facade_is_inert():
         obs.gauge("ignored", 1.0)
         obs.observe("ignored", 1.0)
     assert obs.get() is None
-    assert obs.snapshot_blob() is None
-    obs.merge_blob(None)  # tolerated
 
 
-def test_enable_emit_and_reset_keep_shape():
+def test_enable_sets_ring_shape():
     telemetry = obs.enable(capacity=8, sample=0.5)
     obs.set_context(host=1, epoch=2)
     obs.emit("tick", value=1)
     assert len(telemetry.events()) == 1
-    fresh = obs.reset()
-    assert fresh is not telemetry
-    assert fresh.ring.capacity == 8
-    assert fresh.ring.stride == 2
-    assert not fresh.events()
-
-
-def test_snapshot_blob_roundtrip_through_facade():
-    obs.enable(clock=Clock(wall=lambda: 0.0))
-    obs.emit_at("worker.tick", 2, 0, value=7)
-    blob = obs.snapshot_blob()
-    assert isinstance(blob, bytes)
-    assert not obs.get().events()  # reset on snapshot
-    obs.merge_blob(blob)
-    events = obs.get().events()
-    assert [(e.kind, e.host) for e in events] == [("worker.tick", 2)]
+    assert telemetry.ring.capacity == 8
+    assert telemetry.ring.stride == 2
+    assert obs.enable() is telemetry  # idempotent without arguments
 
 
 def test_configure_from_env_reads_knobs():
@@ -317,20 +232,6 @@ def test_reservoir_is_bounded_and_representative():
     assert summary["p50"] == quantiles[0.5]
 
 
-def test_merge_folds_quantile_reservoirs():
-    controller = Telemetry(clock=ManualClock())
-    worker = Telemetry(clock=ManualClock())
-    for value in range(1, 51):
-        controller.observe("latency", float(value))
-    for value in range(51, 101):
-        worker.observe("latency", float(value))
-    controller.merge(worker.snapshot())
-    assert controller.histogram("latency") == (100, 5050.0, 1.0, 100.0)
-    quantiles = controller.quantiles("latency")
-    assert quantiles[0.5] == 50.0
-    assert quantiles[0.99] == 99.0
-
-
 def test_dropped_spans_are_counted_not_silent():
     telemetry = Telemetry(clock=ManualClock(), span_capacity=3)
     for _ in range(10):
@@ -338,23 +239,3 @@ def test_dropped_spans_are_counted_not_silent():
             pass
     assert telemetry.spans_dropped == 7
     assert telemetry.stats()["spans_dropped"] == 7
-    snapshot = telemetry.snapshot(reset=True)
-    assert snapshot.span_dropped == 7
-    assert telemetry.spans_dropped == 0  # per-interval, like the ring
-
-
-def test_merge_folds_dropped_spans_and_overflow():
-    controller = Telemetry(clock=ManualClock(), span_capacity=4)
-    worker = Telemetry(clock=ManualClock(), span_capacity=3)
-    for _ in range(5):  # worker drops 2 locally
-        with worker.span("tick"):
-            pass
-    for _ in range(3):  # leaves one free slot in the controller trace
-        with controller.span("ctl"):
-            pass
-    controller.merge(worker.snapshot())
-    # Controller kept 3 own + 1 merged; 2 merged spans overflowed here
-    # on top of the 2 the worker already dropped.
-    assert len(controller.span_trace()) == 4
-    assert controller.spans_dropped == 4
-    assert controller.stats()["spans_dropped"] == 4

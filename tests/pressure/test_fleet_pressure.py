@@ -1,10 +1,9 @@
-"""Overcommitted fleets under pressure: the determinism contract must
-survive the whole escalation ladder (ballooning, KSM, swap), pressure
-telemetry must merge identically across processes, and the paper's
-Section 8 victim rule must measurably protect well-aligned huge pages.
+"""Overcommitted fleets under pressure: the whole escalation ladder
+(ballooning, KSM, swap) must engage, tracing it must not change results,
+and the paper's Section 8 victim rule must measurably protect
+well-aligned huge pages.
 """
 
-from collections import defaultdict
 from dataclasses import replace
 
 import pytest
@@ -77,47 +76,19 @@ def test_overcommit_admits_beyond_physical_memory():
     assert over_result.placement_failures < base_result.placement_failures
 
 
-def test_serial_and_parallel_pressured_runs_are_identical(force_pool):
-    serial = ClusterSimulation(PRESSURED).run(workers=1)
-    sim = ClusterSimulation(PRESSURED)
-    parallel = sim.run(workers=2)
-    if sim.ipc_bytes_per_epoch == 0:  # pragma: no cover
-        pytest.skip("sandbox cannot fork")
-    assert serial == parallel
-    assert serial.fleet_swap_out_pages > 0
-
-
-def _run_traced(config, workers):
+def test_pressure_telemetry_is_neutral_and_merges():
+    # One registry collects the ladder's events from every host, and
+    # tracing changes nothing.
+    untraced = ClusterSimulation(PRESSURED).run()
     obs.enable(Telemetry(sample=1.0, clock=Clock(wall=lambda: 0.0)))
-    sim = ClusterSimulation(config)
-    result = sim.run(workers=workers)
+    traced = ClusterSimulation(PRESSURED).run()
     events = obs.get().events()
-    obs.disable()
-    obs.clear_context()
-    return result, events, sim.ipc_bytes_per_epoch > 0
-
-
-def _by_host(events):
-    streams = defaultdict(list)
-    for event in events:
-        streams[event.host].append(event.identity())
-    return dict(streams)
-
-
-def test_pressure_telemetry_is_neutral_and_merges(force_pool):
-    untraced = ClusterSimulation(PRESSURED).run(workers=1)
-    serial_result, serial_events, _ = _run_traced(PRESSURED, workers=1)
-    parallel_result, parallel_events, forked = _run_traced(PRESSURED, workers=2)
-    # Tracing changes nothing, serial or parallel.
-    assert serial_result == untraced
-    assert parallel_result == untraced
-    kinds = {event.kind for event in serial_events}
+    assert traced == untraced
+    kinds = {event.kind for event in events}
     assert "pressure.watermark" in kinds
     assert "swap.out" in kinds
     assert "swap.in" in kinds
-    if not forked:  # pragma: no cover
-        pytest.skip("sandbox cannot fork")
-    assert _by_host(parallel_events) == _by_host(serial_events)
+    assert {event.host for event in events} >= set(range(PRESSURED.hosts))
 
 
 def test_alignment_aware_retains_more_aligned_huge_pages():

@@ -77,5 +77,5 @@ def run_case(case: str):
             make_workload("Redis"), "Gemini", config=replace(BASE, epochs=3)
         )
     if case == "small-fleet":
-        return ClusterSimulation(SMALL_FLEET).run(workers=1)
+        return ClusterSimulation(SMALL_FLEET).run()
     raise KeyError(case)

@@ -12,9 +12,8 @@ operation by operation.
 
 import pytest
 
-from repro.cluster import ClusterSimulation
 from tests.digests import digest
-from tests.sim.reference_runs import REFERENCE, SMALL_FLEET, SYSTEMS, run_case
+from tests.sim.reference_runs import REFERENCE, SYSTEMS, run_case
 
 
 @pytest.mark.parametrize("system", SYSTEMS)
@@ -46,12 +45,3 @@ def test_fast_kernels_orthogonal_to_other_flags(reference):
 
 def test_fleet_fast_kernels_equal_reference():
     assert digest(run_case("small-fleet")) == REFERENCE["small-fleet"]
-
-
-def test_fleet_fast_kernels_parallel_identical(force_pool):
-    serial = ClusterSimulation(SMALL_FLEET).run(workers=1)
-    sim = ClusterSimulation(SMALL_FLEET)
-    parallel = sim.run(workers=2)
-    if sim.ipc_bytes_per_epoch == 0:  # pragma: no cover
-        pytest.skip("sandbox cannot fork")
-    assert serial == parallel

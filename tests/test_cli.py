@@ -73,17 +73,12 @@ def test_cluster_has_no_protocol_flags():
             build_parser().parse_args(["cluster", flag])
 
 
-def test_cluster_workers_do_not_change_results(capsys, force_pool, monkeypatch):
-    # No result cache: the parallel run must really run.
-    monkeypatch.setenv("REPRO_CACHE_DIR", "")
-    base = [
-        "cluster", "--hosts", "2", "--host-mib", "512",
-        "--epochs", "3", "--seed", "7",
-    ]
-    assert main(base) == 0
-    serial = capsys.readouterr().out
-    assert main(base + ["--workers", "2"]) == 0
-    assert capsys.readouterr().out == serial
+def test_fleet_commands_reject_workers():
+    # Fleets step their hosts in-process; only the cell-pool commands
+    # (run, experiment, trace) take --workers.
+    for command in ("cluster", "pressure"):
+        with pytest.raises(SystemExit):
+            main([command, "--workers", "2"])
 
 
 def test_cluster_profile_prints_hotspots(capsys):
