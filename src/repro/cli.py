@@ -33,10 +33,11 @@ their hosts in-process and have no ``--workers``.
 ``REPRO_PROFILE`` environment variable) to wrap the command in
 :mod:`cProfile` and print the top N functions by cumulative time.
 
-Every command also takes the telemetry knobs ``--trace-out DIR``,
-``--trace-events N`` and ``--trace-sample R`` (environment:
-``REPRO_TRACE*``); with ``--trace-out`` the exports land in *DIR*
-after the command finishes (see docs/OBSERVABILITY.md).
+Every command except ``list`` and ``diff`` also takes the telemetry
+knobs ``--trace-out DIR`` and ``--trace-events N`` (environment:
+``REPRO_TRACE_OUT``, ``REPRO_TRACE_EVENTS``); with ``--trace-out`` the
+exports land in *DIR* after the command finishes, or fails (see
+docs/OBSERVABILITY.md).
 """
 
 from __future__ import annotations
@@ -233,11 +234,6 @@ def _add_exec_args(command: argparse.ArgumentParser) -> None:
         "--trace-events", type=int, default=None, metavar="N",
         help="event ring capacity (default 65536; also $REPRO_TRACE_EVENTS)",
     )
-    command.add_argument(
-        "--trace-sample", type=float, default=None, metavar="R",
-        help="event keep rate in (0, 1] (default 1.0; "
-        "also $REPRO_TRACE_SAMPLE)",
-    )
 
 
 def _apply_exec_args(args: argparse.Namespace) -> None:
@@ -253,8 +249,6 @@ def _apply_exec_args(args: argparse.Namespace) -> None:
         os.environ["REPRO_TRACE_OUT"] = args.trace_out
     if getattr(args, "trace_events", None) is not None:
         os.environ["REPRO_TRACE_EVENTS"] = str(args.trace_events)
-    if getattr(args, "trace_sample", None) is not None:
-        os.environ["REPRO_TRACE_SAMPLE"] = str(args.trace_sample)
 
 
 def _cmd_list() -> int:
@@ -393,8 +387,9 @@ def _profile_top(args: argparse.Namespace) -> int | None:
         return 25
 
 
-def _cmd_cluster(args: argparse.Namespace) -> int:
-    config = ClusterConfig(
+def cluster_config(args: argparse.Namespace) -> ClusterConfig:
+    """The fleet ``repro cluster`` runs for parsed *args*."""
+    return ClusterConfig(
         hosts=args.hosts,
         host_mib=args.host_mib,
         epochs=args.epochs,
@@ -404,6 +399,10 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         fragment_host=args.fragment_host,
         migration=MigrationConfig(check_invariants=args.check_invariants),
     )
+
+
+def _cmd_cluster(args: argparse.Namespace) -> int:
+    config = cluster_config(args)
     cache = (
         ResultCache(args.cache_dir, expected=FleetResult)
         if args.cache_dir
@@ -508,13 +507,14 @@ def _export_trace() -> None:
         )
     from repro.metrics.report import format_critical_path, format_health_summary
     from repro.obs.analyze import critical_paths
+    from repro.obs.health import findings
 
     report = critical_paths(telemetry)
     if report.epochs and report.total_s > 0.0:
         print(format_critical_path(report))
-    events = telemetry.events()
-    if any(event.kind.startswith("health.") for event in events):
-        print(format_health_summary(events))
+    health = findings(telemetry.events())
+    if health:
+        print(format_health_summary(health))
 
 
 def _dispatch(args: argparse.Namespace) -> int:
@@ -540,37 +540,42 @@ def main(argv: list[str] | None = None) -> int:
     _apply_exec_args(args)
     obs.configure_from_env()
     top = _profile_top(args)
-    if top is None:
-        status = _dispatch(args)
+    profiler = None
+    if top is not None:
+        import cProfile
+
+        profiler = cProfile.Profile()
+        profiler.enable()
+    try:
+        return _dispatch(args)
+    finally:
+        if profiler is not None:
+            _report_profile(profiler, top)
         _export_trace()
-        return status
-    import cProfile
+
+
+def _report_profile(profiler, top: int) -> None:
+    """Print the top-*top* cumulative hotspots, and keep them next to
+    the trace when one is being exported."""
     import io
     import pstats
 
-    profiler = cProfile.Profile()
-    profiler.enable()
-    try:
-        status = _dispatch(args)
-    finally:
-        profiler.disable()
-        buffer = io.StringIO()
-        pstats.Stats(profiler, stream=buffer).sort_stats(
-            "cumulative"
-        ).print_stats(top)
-        report = buffer.getvalue()
-        print()
-        print(report, end="")
-        out_dir = obs.trace_out_dir()
-        if out_dir is not None:
-            # Keep the profile next to the trace it explains.
-            import pathlib
+    profiler.disable()
+    buffer = io.StringIO()
+    pstats.Stats(profiler, stream=buffer).sort_stats(
+        "cumulative"
+    ).print_stats(top)
+    report = buffer.getvalue()
+    print()
+    print(report, end="")
+    out_dir = obs.trace_out_dir()
+    if out_dir is not None:
+        # Keep the profile next to the trace it explains.
+        import pathlib
 
-            directory = pathlib.Path(out_dir)
-            directory.mkdir(parents=True, exist_ok=True)
-            (directory / "profile.txt").write_text(report)
-        _export_trace()
-    return status
+        directory = pathlib.Path(out_dir)
+        directory.mkdir(parents=True, exist_ok=True)
+        (directory / "profile.txt").write_text(report)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -38,7 +38,6 @@ from repro.cluster.results import FleetResult
 from repro.cluster.trace import TraceEvent, build_trace
 from repro.exec.cache import ResultCache, code_version
 from repro.mem.layout import MIB, PAGE_SIZE
-from repro.obs.health import watch_health
 from repro.workloads import make_workload
 
 __all__ = ["ClusterSimulation", "fleet_key", "run_cluster"]
@@ -103,7 +102,7 @@ class ClusterSimulation:
                 f"fleets step in-process; workers must be None or 1, "
                 f"got {workers!r}"
             )
-        with watch_health(self.config):
+        with obs.note_context():
             for epoch in range(self.config.epochs):
                 obs.set_context(host=None, epoch=epoch)
                 with obs.span("fleet.epoch"):

@@ -11,7 +11,9 @@ Worker-count resolution: the explicit ``workers`` argument wins, then the
 Anything that cannot be shipped to a worker process (an unpicklable cell)
 falls back to serial execution rather than failing, and batches smaller
 than :data:`MIN_PARALLEL_CELLS` run serially because pool startup would
-dominate (see the constant's note).
+dominate (see the constant's note).  While ``repro.obs`` is collecting,
+cells always run serially: the active registry lives in this process,
+and a forked worker's telemetry would be lost with the worker.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import os
 import pickle
 from concurrent.futures import ProcessPoolExecutor
 
+from repro import obs
 from repro.exec.cache import ResultCache, cell_key
 from repro.exec.cells import Cell, execute_cell
 from repro.sim.results import RunResult
@@ -131,7 +134,8 @@ def run_cells(
     if pending:
         workers = resolve_workers(workers)
         computed = None
-        if workers > 1 and len(pending) >= _min_parallel():
+        if (workers > 1 and len(pending) >= _min_parallel()
+                and not obs.enabled()):
             computed = _run_pool([cells[i] for i in pending], workers)
         if computed is None:
             computed = [execute_cell(cells[i]) for i in pending]

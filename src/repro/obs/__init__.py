@@ -1,4 +1,4 @@
-"""Unified telemetry: spans, structured events and metrics.
+"""Unified telemetry: spans, structured events and counters.
 
 ``repro.obs`` is the observability layer the rest of the stack emits
 into.  It is **off by default** and designed to cost nearly nothing
@@ -30,7 +30,6 @@ Environment variables (read by :func:`configure_from_env`):
 * ``REPRO_TRACE=1`` — enable telemetry.
 * ``REPRO_TRACE_OUT=dir`` — enable and export to *dir* (CLI honours it).
 * ``REPRO_TRACE_EVENTS=n`` — event ring capacity (default 65536).
-* ``REPRO_TRACE_SAMPLE=r`` — event keep rate in (0, 1], default 1.0.
 """
 
 from __future__ import annotations
@@ -44,6 +43,7 @@ from repro.obs.telemetry import (
     Telemetry,
     clear_context,
     current_context,
+    note_context,
     set_context,
 )
 
@@ -62,11 +62,10 @@ __all__ = [
     "emit",
     "emit_at",
     "count",
-    "gauge",
-    "observe",
     "set_context",
     "current_context",
     "clear_context",
+    "note_context",
     "configure_from_env",
     "trace_out_dir",
     "set_trace_out_dir",
@@ -112,7 +111,6 @@ def enable(
     telemetry: Telemetry | None = None,
     *,
     capacity: int | None = None,
-    sample: float = 1.0,
     clock: Clock | None = None,
 ) -> Telemetry:
     """Install (and return) the process-wide telemetry registry.
@@ -127,7 +125,6 @@ def enable(
     elif _active is None or capacity is not None or clock is not None:
         _active = Telemetry(
             capacity=capacity if capacity is not None else DEFAULT_CAPACITY,
-            sample=sample,
             clock=clock,
         )
     return _active
@@ -166,18 +163,6 @@ def count(name: str, value: float = 1.0) -> None:
         active.count(name, value)
 
 
-def gauge(name: str, value: float) -> None:
-    active = _active
-    if active is not None:
-        active.gauge(name, value)
-
-
-def observe(name: str, value: float) -> None:
-    active = _active
-    if active is not None:
-        active.observe(name, value)
-
-
 def trace_out_dir() -> str | None:
     """The export directory requested via env/CLI, or None."""
     return _out_dir
@@ -192,9 +177,9 @@ def configure_from_env(environ=os.environ) -> Telemetry | None:
     """Enable telemetry when the ``REPRO_TRACE*`` variables ask for it.
 
     ``REPRO_TRACE=1`` or a non-empty ``REPRO_TRACE_OUT`` enables
-    collection; capacity and sampling come from ``REPRO_TRACE_EVENTS``
-    and ``REPRO_TRACE_SAMPLE``.  Never *disables* an already-enabled
-    registry.  Returns the active registry (or None).
+    collection; the ring capacity comes from ``REPRO_TRACE_EVENTS``.
+    Never *disables* an already-enabled registry.  Returns the active
+    registry (or None).
     """
     out = environ.get("REPRO_TRACE_OUT", "").strip()
     flag = environ.get("REPRO_TRACE", "").strip().lower()
@@ -204,7 +189,6 @@ def configure_from_env(environ=os.environ) -> Telemetry | None:
     if not wanted:
         return _active
     capacity = int(environ.get("REPRO_TRACE_EVENTS", 0) or 0) or None
-    sample = float(environ.get("REPRO_TRACE_SAMPLE", 0) or 1.0)
     if _active is None:
-        return enable(capacity=capacity, sample=sample)
+        return enable(capacity=capacity)
     return _active

@@ -194,7 +194,6 @@ class RunData:
     spans: dict[str, dict[str, float]]
     counters: dict[str, float]
     events: list[Event]
-    histograms: dict[str, dict[str, float]] = field(default_factory=dict)
     stats: dict = field(default_factory=dict)
 
     @classmethod
@@ -204,7 +203,6 @@ class RunData:
             spans=telemetry.span_stats(),
             counters=dict(telemetry.counters),
             events=telemetry.events(),
-            histograms=telemetry.histogram_summary(),
             stats=telemetry.stats(),
         )
 
@@ -225,19 +223,16 @@ class RunData:
             json.loads(spans_path.read_text()) if spans_path.exists() else {}
         )
         counters: dict[str, float] = {}
-        histograms: dict[str, dict[str, float]] = {}
         stats: dict = {}
         if stats_path.exists():
             payload = json.loads(stats_path.read_text())
             counters = payload.get("counters", {})
-            histograms = payload.get("histograms", {})
             stats = payload.get("stats", {})
         return cls(
             label=label if label is not None else str(out),
             spans=spans,
             counters=counters,
             events=events,
-            histograms=histograms,
             stats=stats,
         )
 

@@ -4,9 +4,8 @@ Telemetry records carry two notions of time: a *wall* reading (used for
 span durations and trace timestamps) and a deterministic *virtual*
 ordering (per-host sequence numbers assigned by the
 :class:`~repro.obs.telemetry.Telemetry` registry).  The wall source is
-injectable so tests — and the serial-versus-parallel equivalence
-regression — can pin it to a constant and diff event streams byte for
-byte.
+injectable so tests can pin it to a constant and diff event streams
+byte for byte.
 """
 
 from __future__ import annotations

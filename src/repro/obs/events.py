@@ -8,10 +8,7 @@ seed produce identical per-host sequences, so :meth:`Event.identity`
 (which drops the wall reading) is the comparison key for run-to-run
 equivalence (``repro diff --strict``).
 
-The :class:`EventRing` bounds memory with a drop-oldest deque and
-applies deterministic stride sampling per ``(kind, host)`` stream —
-no randomness, so sampling keeps the *same* subset of events in every
-run of the same seed.
+The :class:`EventRing` bounds memory with a drop-oldest deque.
 """
 
 from __future__ import annotations
@@ -102,44 +99,21 @@ def _revive(value: object) -> object:
 
 
 class EventRing:
-    """Drop-oldest event buffer with deterministic stride sampling.
+    """Drop-oldest event buffer: keeps the newest ``capacity`` events and
+    counts what it evicts, so a truncated log is visible."""
 
-    ``sample`` is the target keep rate in ``(0, 1]``; it is converted to
-    an integer stride (``sample=0.25`` keeps every 4th event).  The
-    stride counter is keyed by ``(kind, host)``, so each host stream is
-    thinned on its own and the kept subset of one host never depends on
-    what the other hosts emitted.
-    """
+    __slots__ = ("capacity", "emitted", "dropped", "_events")
 
-    __slots__ = ("capacity", "stride", "emitted", "sampled", "dropped",
-                 "_events", "_stream_counts")
-
-    def __init__(self, capacity: int = DEFAULT_CAPACITY,
-                 sample: float = 1.0) -> None:
+    def __init__(self, capacity: int = DEFAULT_CAPACITY) -> None:
         if capacity <= 0:
             raise ValueError(f"ring capacity must be positive: {capacity}")
-        if not 0.0 < sample <= 1.0:
-            raise ValueError(f"sample rate must be in (0, 1]: {sample}")
         self.capacity = capacity
-        self.stride = max(1, round(1.0 / sample))
-        self.emitted = 0   # events offered, pre-sampling
-        self.sampled = 0   # events kept by the sampler
-        self.dropped = 0   # sampled events evicted by capacity
+        self.emitted = 0   # events appended
+        self.dropped = 0   # events evicted by capacity
         self._events: deque[Event] = deque(maxlen=capacity)
-        self._stream_counts: dict[tuple[str, int | None], int] = {}
-
-    def want(self, kind: str, host: int | None) -> bool:
-        """Advance the ``(kind, host)`` stride counter; True to keep."""
-        self.emitted += 1
-        if self.stride == 1:
-            return True
-        stream = (kind, host)
-        count = self._stream_counts.get(stream, 0)
-        self._stream_counts[stream] = count + 1
-        return count % self.stride == 0
 
     def append(self, event: Event) -> None:
-        self.sampled += 1
+        self.emitted += 1
         if len(self._events) == self.capacity:
             self.dropped += 1
         self._events.append(event)

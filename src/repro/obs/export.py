@@ -58,9 +58,8 @@ def _trace_pid(host: int | None) -> int:
     return 0 if host is None else host + 1
 
 
-def chrome_trace(telemetry: Telemetry,
-                 include_events: bool = True) -> dict[str, object]:
-    """Render spans (and optionally events) in Chrome trace format.
+def chrome_trace(telemetry: Telemetry) -> dict[str, object]:
+    """Render spans and events in Chrome trace format.
 
     Returns the ``{"traceEvents": [...]}`` object; every slice carries
     the ``ph``/``ts``/``dur`` fields the viewers require, with
@@ -83,25 +82,24 @@ def chrome_trace(telemetry: Telemetry,
                 "args": {"depth": depth},
             }
         )
-    if include_events:
-        for event in telemetry.events():
-            pid = _trace_pid(event.host)
-            pids.add(pid)
-            args: dict[str, object] = {"epoch": event.epoch, "seq": event.seq}
-            for key, value in event.fields:
-                args[key] = value if not isinstance(value, tuple) else list(value)
-            trace_events.append(
-                {
-                    "name": event.kind,
-                    "cat": "event",
-                    "ph": "i",
-                    "s": "t",
-                    "ts": event.wall * 1e6,
-                    "pid": pid,
-                    "tid": 0,
-                    "args": args,
-                }
-            )
+    for event in telemetry.events():
+        pid = _trace_pid(event.host)
+        pids.add(pid)
+        args: dict[str, object] = {"epoch": event.epoch, "seq": event.seq}
+        for key, value in event.fields:
+            args[key] = value if not isinstance(value, tuple) else list(value)
+        trace_events.append(
+            {
+                "name": event.kind,
+                "cat": "event",
+                "ph": "i",
+                "s": "t",
+                "ts": event.wall * 1e6,
+                "pid": pid,
+                "tid": 0,
+                "args": args,
+            }
+        )
     for pid in sorted(pids):
         trace_events.append(
             {
@@ -115,10 +113,9 @@ def chrome_trace(telemetry: Telemetry,
     return {"traceEvents": trace_events, "displayTimeUnit": "ms"}
 
 
-def write_chrome_trace(telemetry: Telemetry, path: str | pathlib.Path,
-                       include_events: bool = True) -> None:
+def write_chrome_trace(telemetry: Telemetry, path: str | pathlib.Path) -> None:
     pathlib.Path(path).write_text(
-        json.dumps(chrome_trace(telemetry, include_events), default=str)
+        json.dumps(chrome_trace(telemetry), default=str)
     )
 
 
@@ -210,17 +207,14 @@ def _row_order(key: tuple) -> tuple[int, int, int]:
 
 
 def export_run(
-    telemetry: Telemetry,
-    out_dir: str | pathlib.Path,
-    include_events: bool = True,
+    telemetry: Telemetry, out_dir: str | pathlib.Path
 ) -> dict[str, pathlib.Path]:
     """Write all exports for one run into *out_dir*.
 
     Produces ``events.jsonl``, ``trace.json`` (Chrome/Perfetto),
     ``series.csv``, ``spans.json`` and ``stats.json`` (volume
-    accounting — including any dropped spans — plus counters, gauges
-    and histogram quantiles, the deterministic side of the run that
-    ``repro diff`` compares); returns the paths keyed by artifact name.
+    accounting — including any dropped spans — plus the counters, the
+    deterministic side of the run that ``repro diff`` compares); returns the paths keyed by artifact name.
     """
     from repro.metrics.report import telemetry_series_to_csv
 
@@ -235,7 +229,7 @@ def export_run(
     }
     events = telemetry.events()
     write_jsonl(events, paths["events"])
-    write_chrome_trace(telemetry, paths["trace"], include_events)
+    write_chrome_trace(telemetry, paths["trace"])
     paths["series"].write_text(telemetry_series_to_csv(timeseries_rows(events)))
     paths["spans"].write_text(
         json.dumps(telemetry.span_stats(), indent=2, sort_keys=True) + "\n"
@@ -245,8 +239,6 @@ def export_run(
             {
                 "stats": telemetry.stats(),
                 "counters": dict(telemetry.counters),
-                "gauges": dict(telemetry.gauges),
-                "histograms": telemetry.histogram_summary(),
             },
             indent=2,
             sort_keys=True,

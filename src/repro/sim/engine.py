@@ -20,7 +20,6 @@ from dataclasses import fields
 
 from repro import obs
 from repro.cluster.host import Host, Tenant, build_segments
-from repro.obs.health import watch_health
 from repro.sim.config import SimulationConfig
 from repro.sim.results import EpochRecord, RunResult
 from repro.workloads.base import Workload, WorkloadContext
@@ -85,7 +84,7 @@ class Simulation:
         results = [
             RunResult(system=self.system, workload=w.name) for w in self.workloads
         ]
-        with watch_health(self.config):
+        with obs.note_context():
             for epoch in range(self.config.epochs):
                 self.step(epoch, results)
         if self.host.runtime is not None:

@@ -96,6 +96,33 @@ def test_small_batch_never_starts_a_pool(monkeypatch, pool_calls):
     assert pool_calls == []
 
 
+def test_traced_cells_never_start_a_pool(monkeypatch, pool_calls):
+    # A forked worker's telemetry dies with the worker, so a traced
+    # batch stays in the process that holds the registry.
+    from repro import obs
+    from repro.obs import Clock, Telemetry
+
+    monkeypatch.setenv("REPRO_MIN_PARALLEL", "1")
+    # A warm result cache would skip the runs that emit the spans.
+    monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+    cells = [
+        Cell("Redis", "THP", CONFIG),
+        Cell("Redis", "Host-B-VM-B", CONFIG),
+        Cell("SVM", "THP", CONFIG),
+    ]
+    telemetry = obs.enable(Telemetry(clock=Clock(wall=lambda: 0.0)))
+    try:
+        traced = run_cells(cells, workers=2, cache=None)
+    finally:
+        obs.disable()
+        obs.clear_context()
+    assert pool_calls == []
+    assert telemetry.span_stats()["sim.epoch"]["count"] == (
+        len(cells) * CONFIG.epochs
+    )
+    assert traced == run_cells(cells, workers=1, cache=None)
+
+
 def test_cache_dedupes_within_and_across_calls(tmp_path):
     cache = ResultCache(tmp_path)
     cell = Cell("Redis", "THP", CONFIG)

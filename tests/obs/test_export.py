@@ -222,11 +222,8 @@ def test_export_run_stats_artifact(tmp_path):
         with telemetry.span("tick"):
             pass
     telemetry.count("epochs", 3)
-    telemetry.observe("latency", 2.0)
-    telemetry.observe("latency", 8.0)
     paths = export_run(telemetry, tmp_path / "out")
     stats = json.loads(paths["stats"].read_text())
     assert stats["stats"]["spans_dropped"] == 2
     assert stats["counters"]["epochs"] == 3
-    hist = stats["histograms"]["latency"]
-    assert hist["count"] == 2 and hist["p50"] == 2.0 and hist["p99"] == 8.0
+    assert set(stats) == {"stats", "counters"}

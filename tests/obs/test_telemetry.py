@@ -76,7 +76,7 @@ def test_span_trace_is_capacity_bounded():
 
 
 # ----------------------------------------------------------------------
-# Events: sequencing, sampling, capacity
+# Events: sequencing and capacity
 # ----------------------------------------------------------------------
 
 
@@ -97,36 +97,20 @@ def test_event_identity_ignores_wall_time():
     assert a.identity() == b.identity()
 
 
-def test_sampling_keeps_the_same_subset_per_stream():
-    # sample=0.5 -> stride 2: every other event per (kind, host) stream
-    # is kept, but sequence numbers advance for all of them, so the kept
-    # subset is identifiable no matter how streams interleave.
-    telemetry = Telemetry(sample=0.5, clock=Clock(wall=lambda: 0.0))
-    for _ in range(6):
-        telemetry.emit_at("tick", 0, 0)
-        telemetry.emit_at("tick", 1, 0)
-    kept = [(e.host, e.seq) for e in telemetry.events()]
-    assert kept == [(0, 1), (1, 1), (0, 3), (1, 3), (0, 5), (1, 5)]
-    assert telemetry.ring.emitted == 12
-    assert telemetry.ring.sampled == 6
-
-
 def test_ring_drops_oldest_at_capacity():
     telemetry = Telemetry(capacity=3, clock=Clock(wall=lambda: 0.0))
     for index in range(5):
         telemetry.emit_at("tick", 0, index)
     assert [e.epoch for e in telemetry.events()] == [2, 3, 4]
     assert telemetry.ring.dropped == 2
-    assert telemetry.ring.sampled == 5
+    assert telemetry.ring.emitted == 5
 
 
 def test_ring_rejects_bad_parameters():
     with pytest.raises(ValueError):
         EventRing(capacity=0)
     with pytest.raises(ValueError):
-        EventRing(sample=0.0)
-    with pytest.raises(ValueError):
-        EventRing(sample=1.5)
+        EventRing(capacity=-1)
 
 
 # ----------------------------------------------------------------------
@@ -163,18 +147,15 @@ def test_disabled_facade_is_inert():
     with obs.span("ignored"):
         obs.emit("ignored", value=1)
         obs.count("ignored")
-        obs.gauge("ignored", 1.0)
-        obs.observe("ignored", 1.0)
     assert obs.get() is None
 
 
 def test_enable_sets_ring_shape():
-    telemetry = obs.enable(capacity=8, sample=0.5)
+    telemetry = obs.enable(capacity=8)
     obs.set_context(host=1, epoch=2)
     obs.emit("tick", value=1)
     assert len(telemetry.events()) == 1
     assert telemetry.ring.capacity == 8
-    assert telemetry.ring.stride == 2
     assert obs.enable() is telemetry  # idempotent without arguments
 
 
@@ -182,13 +163,11 @@ def test_configure_from_env_reads_knobs():
     env = {
         "REPRO_TRACE_OUT": "somewhere",
         "REPRO_TRACE_EVENTS": "128",
-        "REPRO_TRACE_SAMPLE": "0.25",
     }
     telemetry = obs.configure_from_env(env)
     try:
         assert telemetry is not None
         assert telemetry.ring.capacity == 128
-        assert telemetry.ring.stride == 4
         assert obs.trace_out_dir() == "somewhere"
     finally:
         obs.set_trace_out_dir(None)
@@ -200,36 +179,8 @@ def test_configure_from_env_defaults_to_off():
 
 
 # ----------------------------------------------------------------------
-# Quantile reservoirs and dropped-span accounting
+# Dropped-span accounting
 # ----------------------------------------------------------------------
-
-
-def test_quantiles_exact_below_reservoir_cap():
-    telemetry = Telemetry(clock=ManualClock())
-    for value in range(1, 101):  # 1..100
-        telemetry.observe("latency", float(value))
-    quantiles = telemetry.quantiles("latency")
-    assert quantiles[0.5] == 50.0
-    assert quantiles[0.95] == 95.0
-    assert quantiles[0.99] == 99.0
-    assert telemetry.quantiles("missing") is None
-
-
-def test_reservoir_is_bounded_and_representative():
-    telemetry = Telemetry(clock=ManualClock())
-    for value in range(10_000):
-        telemetry.observe("latency", float(value))
-    stat = telemetry._histograms["latency"]
-    assert len(stat[4]) <= Telemetry.RESERVOIR_CAP
-    assert stat[5] > 1  # stride grew through decimation
-    # Approximate quantiles stay within a few percent of truth.
-    quantiles = telemetry.quantiles("latency")
-    assert abs(quantiles[0.5] - 5_000) < 500
-    assert abs(quantiles[0.99] - 9_900) < 500
-    summary = telemetry.histogram_summary()["latency"]
-    assert summary["count"] == 10_000
-    assert summary["min"] == 0.0 and summary["max"] == 9_999.0
-    assert summary["p50"] == quantiles[0.5]
 
 
 def test_dropped_spans_are_counted_not_silent():

@@ -80,7 +80,7 @@ def test_pressure_telemetry_is_neutral_and_merges():
     # One registry collects the ladder's events from every host, and
     # tracing changes nothing.
     untraced = ClusterSimulation(PRESSURED).run()
-    obs.enable(Telemetry(sample=1.0, clock=Clock(wall=lambda: 0.0)))
+    obs.enable(Telemetry(clock=Clock(wall=lambda: 0.0)))
     traced = ClusterSimulation(PRESSURED).run()
     events = obs.get().events()
     assert traced == untraced

@@ -118,8 +118,7 @@ def _trace_env(monkeypatch):
     the traced command leaves enabled."""
     from repro import obs
 
-    for key in ("REPRO_TRACE", "REPRO_TRACE_OUT", "REPRO_TRACE_EVENTS",
-                "REPRO_TRACE_SAMPLE"):
+    for key in ("REPRO_TRACE", "REPRO_TRACE_OUT", "REPRO_TRACE_EVENTS"):
         monkeypatch.setenv(key, "")
     # A warm result cache would skip the runs that emit the events.
     monkeypatch.setenv("REPRO_CACHE_DIR", "")
@@ -178,11 +177,35 @@ def test_trace_subcommand_defaults_out_dir(tmp_path, capsys, monkeypatch,
 def test_trace_flags_map_to_parser():
     args = build_parser().parse_args([
         "run", "Redis", "--trace-out", "d", "--trace-events", "128",
-        "--trace-sample", "0.5",
     ])
     assert args.trace_out == "d"
     assert args.trace_events == 128
-    assert args.trace_sample == 0.5
+    # The ring's capacity bounds the log; there is no sampling knob.
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["run", "Redis", "--trace-sample", "0.5"])
+
+
+def test_failing_traced_run_still_exports(tmp_path, capsys, monkeypatch,
+                                          _trace_env):
+    from repro.cluster import ClusterSimulation
+
+    original = ClusterSimulation._epoch
+
+    def sabotage(self, epoch):
+        if epoch == 2:
+            raise RuntimeError("epoch sabotage")
+        return original(self, epoch)
+
+    monkeypatch.setattr(ClusterSimulation, "_epoch", sabotage)
+    out = tmp_path / "trace"
+    with pytest.raises(RuntimeError, match="epoch sabotage") as caught:
+        main([
+            "cluster", "--hosts", "2", "--host-mib", "512", "--epochs", "4",
+            "--trace-out", str(out),
+        ])
+    assert any("epoch=2" in note for note in caught.value.__notes__)
+    assert (out / "events.jsonl").stat().st_size > 0
+    assert "trace exported to" in capsys.readouterr().out
 
 
 def test_profile_report_lands_in_trace_dir(tmp_path, capsys, _trace_env):
